@@ -15,21 +15,19 @@
 // clients into one merged stream (framed per-session results, admission cap,
 // per-session counters; see src/net/socket_server.hpp), and --watch DIR
 // serves instance files dropped into a directory under a served-file ledger
-// (see src/net/watch_dir.hpp). The solve pipeline — windowing, memo, racing,
-// record/replay — is identical over stdin, socket, and watch-dir input.
+// (see src/net/watch_dir.hpp). The solve pipeline — windowing, memo,
+// portfolio, record/replay — is identical over stdin, socket, and watch-dir
+// input.
 //
 // Two solve modes (batch and serve alike):
 //   * single solver (--algorithm A, default auto)  -> engine::BatchSolver;
 //   * portfolio     (--portfolio a,b,c)            -> engine::PortfolioSolver,
-//     racing every named variant per instance and keeping the best valid
-//     schedule (per-variant win counts and quality gaps in the stats;
+//     running the named variants per instance in order and keeping the best
+//     valid schedule (per-variant win counts and quality gaps in the stats;
 //     --tie-break order makes the win table reproducible under exact ties).
-//
-// --race (portfolio only) overlaps each instance's variants on a nested
-// worker pool (--race-width lanes) with cooperative early-cancel: a variant
-// completing at the instance's certified lower bound cancels its slower
-// peers, cutting the heavy tail without changing a single output byte —
-// the digest is bitwise identical to sequential portfolio mode.
+//     A variant completing at the instance's certified lower bound decides
+//     it, and the later variants are skipped (the deterministic
+//     early-cancel count every portfolio run prints).
 //
 // --memo turns on the execution core's digest-keyed memoization: duplicate
 // instances (within a batch, or across serve windows) reuse the prior
@@ -49,11 +47,11 @@
 // certificate-backed shed outcome — counted per class and stream-wide,
 // surfaced to socket clients as a per-record "shed ..." REJECT frame, and
 // mixed into the rolling digest (the shed set is part of the determinism
-// contract and must replay bit-exact). Admitted-but-late instances race
+// contract and must replay bit-exact). Admitted-but-late instances run
 // only the historically cheapest variant (down-shift). --adapt reorders
-// each portfolio race from a per-SLA-class prior table learned from
-// win/cancel tallies in the serial finalize pass — wall-clock only; the
-// winner and the digest are unchanged by construction.
+// each instance's attempt order from a per-SLA-class prior table learned
+// from win/cancel tallies in the serial finalize pass — deterministic, so
+// the session still replays bit-exact.
 //
 // Latency columns split per-instance time into queue (batch submission ->
 // shard pickup, steady clock) and compute (pure solve) so percentiles stay
@@ -125,7 +123,7 @@ struct Options {
   std::string portfolio;  // comma-separated variant list; empty = single solver
   std::string input;      // directory of instance files; empty = synthetic
   double eps = 0.1;
-  unsigned threads = 0;  // 0 = hardware concurrency
+  unsigned threads = 0;  // 0 = all available CPUs
   std::uint64_t seed = 42;
   bool csv = false;
   bool verify = false;
@@ -148,10 +146,8 @@ struct Options {
   bool raw_samples = false;        // serve: exact per-class percentiles
   std::map<std::string, double> deadlines;  // serve: --deadline CLASS=SECONDS
   bool shed = false;   // serve: certificate-backed admission shedding
-  bool adapt = false;  // serve: adaptive variant priors reorder race lanes
+  bool adapt = false;  // serve: adaptive variant priors reorder the attempts
   TieBreak tie_break = TieBreak::kWallTime;
-  bool race = false;           // portfolio: overlap variants per instance
-  unsigned race_width = 0;     // lanes per raced instance; 0 = one per variant
   bool algorithm_set = false;  // --algorithm given explicitly
   bool synthetic_set = false;  // any of --instances/--jobs/--machines/--seed given
   bool window_set = false;     // --window/--max-inflight given
@@ -200,16 +196,10 @@ void usage(const char* argv0) {
             << "  --max-inflight K  serve: reorder horizon in windows (default 4)\n"
             << "  --algorithm A   registry solver name (default auto); known:";
   for (const auto& n : AlgorithmRegistry::global().names()) std::cout << ' ' << n;
-  std::cout << "\n  --portfolio A,B race the named variants per instance and\n"
-            << "                  keep the best valid schedule\n"
-            << "  --race          portfolio: run the variants of each instance\n"
-            << "                  concurrently with cooperative early-cancel\n"
-            << "                  (a completion at the certified lower bound\n"
-            << "                  cancels the slower peers). Wall-clock only:\n"
-            << "                  digests are identical to sequential mode\n"
-            << "  --race-width W  concurrent variant lanes per raced instance\n"
-            << "                  (implies --race; 0 = one lane per variant,\n"
-            << "                  the default; total threads = threads x W)\n"
+  std::cout << "\n  --portfolio A,B run the named variants per instance in order\n"
+            << "                  and keep the best valid schedule; a variant\n"
+            << "                  completing at the certified lower bound\n"
+            << "                  skips the rest (early-cancel)\n"
             << "  --tie-break M   portfolio winner under exact makespan ties:\n"
             << "                  wall (fastest, default) or order (first in\n"
             << "                  portfolio order — reproducible win counts)\n"
@@ -232,13 +222,13 @@ void usage(const char* argv0) {
             << "                  bound proves their class deadline unmeetable\n"
             << "                  (needs --deadline; shed decisions are part of\n"
             << "                  the digest and replay bit-exact); admitted-but-\n"
-            << "                  late instances race only the cheapest variant\n"
-            << "  --adapt         serve: reorder each portfolio race from per-\n"
-            << "                  class priors learned from win/cancel tallies\n"
-            << "                  (needs --portfolio; wall-clock only — winners\n"
-            << "                  and digests are unchanged)\n"
+            << "                  late instances run only the cheapest variant\n"
+            << "  --adapt         serve: reorder each instance's variants from\n"
+            << "                  per-class priors learned from win/cancel\n"
+            << "                  tallies (needs --portfolio; deterministic —\n"
+            << "                  the session replays bit-exact)\n"
             << "  --eps E         approximation parameter in (0,1] (default 0.1)\n"
-            << "  --threads T     worker threads, 0 = hardware (default 0)\n"
+            << "  --threads T     worker threads, 0 = all available CPUs (default 0)\n"
             << "  --seed S        base RNG seed for synthetic batches (default 42)\n"
             << "  --csv           emit the stats table as CSV\n"
             << "  --verify        re-solve on 1 thread and compare digests\n";
@@ -358,11 +348,6 @@ Options parse(int argc, char** argv) {
         std::cerr << "empty --replay path\n";
         std::exit(2);
       }
-    }
-    else if (arg == "--race") opt.race = true;
-    else if (arg == "--race-width") {
-      opt.race_width = parse_unsigned(arg, value());
-      opt.race = true;  // a width without racing would be inert
     }
     else if (arg == "--window") { opt.window = parse_count(arg, value()); opt.window_set = true; }
     else if (arg == "--max-inflight") { opt.max_inflight = parse_count(arg, value()); opt.window_set = true; }
@@ -499,6 +484,10 @@ void print_memo_line(std::size_t hits, std::size_t misses, std::size_t evictions
   std::cout << "\n";
 }
 
+void print_early_cancel_line(std::size_t cancelled) {
+  std::cout << "early-cancel: " << cancelled << " attempt(s) (deterministic)\n";
+}
+
 int run_single(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
   BatchConfig config;
   config.algorithm = opt.algorithm;
@@ -551,15 +540,13 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
   config.eps = opt.eps;
   config.threads = opt.threads;
   config.tie_break = opt.tie_break;
-  config.race = opt.race;
-  config.race_width = opt.race_width;
 
   const PortfolioSolver solver;
   moldable::engine::exec::MemoStore<moldable::engine::PortfolioOutcome> memo(
       opt.memo_capacity);
   const PortfolioResult result = solver.solve(batch, config, opt.memo ? &memo : nullptr);
 
-  // `cancelled` keeps race-mode reports honest: attempts killed by the
+  // `cancelled` keeps the report honest: attempts skipped by the
   // early-cancel rule are neither losses nor failures and must not be
   // silently folded into either.
   moldable::util::Table table({"variant", "wins", "solved", "failed", "cancelled",
@@ -587,9 +574,7 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
             << " ms, p99 " << moldable::util::fmt(result.queue_p99 * 1e3)
             << " ms, max " << moldable::util::fmt(result.queue_max * 1e3)
             << " ms (shard pickup, shared by all variants of an instance)\n";
-  if (opt.race)
-    std::cout << "race: " << result.cancelled_attempts
-              << " cancelled attempt(s) (early-cancel; deterministic)\n";
+  print_early_cancel_line(result.cancelled_attempts);
   if (opt.memo)
     print_memo_line(result.memo_hits, result.memo_misses, memo.evictions(),
                     opt.memo_capacity);
@@ -625,8 +610,6 @@ StreamConfig make_stream_config(const Options& opt) {
   config.shed = opt.shed;
   config.adapt = opt.adapt;
   config.tie_break = opt.tie_break;
-  config.race = opt.race;
-  config.race_width = opt.race_width;
   return config;
 }
 
@@ -802,9 +785,7 @@ int run_serve(const Options& opt) {
             << moldable::util::fmt(result.wall_seconds, 3) << " s ("
             << (opt.threads == 0 ? std::string("hw") : std::to_string(opt.threads))
             << " threads)\n";
-  if (opt.race)
-    std::cout << "race: " << result.cancelled_attempts
-              << " cancelled attempt(s) (early-cancel; deterministic)\n";
+  if (!opt.portfolio.empty()) print_early_cancel_line(result.cancelled_attempts);
   if (opt.memo)
     print_memo_line(result.memo_hits, result.memo_misses, result.memo_evictions,
                     opt.memo_capacity);
@@ -893,14 +874,9 @@ int main(int argc, char** argv) {
     Options opt = parse(argc, argv);  // --listen/--watch flip serve below
     if (!opt.portfolio.empty() && opt.algorithm_set)
       std::cerr << "warning: --algorithm is ignored when --portfolio is given "
-                   "(add it to the portfolio list to race it)\n";
+                   "(add it to the portfolio list to try it)\n";
     if (opt.tie_break_set && opt.portfolio.empty())
       std::cerr << "warning: --tie-break only affects --portfolio mode\n";
-    if (opt.race && opt.portfolio.empty()) {
-      std::cerr << "--race needs a --portfolio to race (a single solver has "
-                   "no peers to cancel)\n";
-      return 2;
-    }
     if (!opt.listen.empty() && !opt.watch.empty()) {
       std::cerr << "--listen and --watch are both ingestion sources; pick one\n";
       return 2;
@@ -933,7 +909,7 @@ int main(int argc, char** argv) {
                      "--record\n";
         return 2;
       }
-      if (opt.window_set || opt.serve_only_set || opt.memo || opt.race ||
+      if (opt.window_set || opt.serve_only_set || opt.memo ||
           opt.tie_break_set || !opt.portfolio.empty() || opt.algorithm_set ||
           opt.synthetic_set)
         std::cerr << "warning: --replay takes every serve flag from the record "

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/sched/list_scheduler.hpp"
-#include "src/util/cancel.hpp"
 
 namespace moldable::core {
 
@@ -19,11 +18,6 @@ struct Budget {
   std::uint64_t left;
   void tick() {
     if (left-- == 0) throw BudgetExceeded{};
-    // The search can burn millions of nodes between any other natural
-    // checkpoint, so the racing cancel poll rides the budget tick (every
-    // 8192 nodes: cheap against the per-node work, prompt against the
-    // multi-second worst case).
-    if ((left & 8191u) == 0) util::poll_cancellation();
   }
 };
 

@@ -28,7 +28,7 @@ namespace moldable::engine {
 struct BatchConfig {
   std::string algorithm = "auto";  ///< registry name to run on every instance
   double eps = 0.1;                ///< approximation parameter, in (0, 1]
-  unsigned threads = 0;            ///< worker threads; 0 = hardware concurrency
+  unsigned threads = 0;            ///< worker threads; 0 = all available CPUs
 };
 
 /// Outcome for one instance of the batch, index-aligned with the input.

@@ -1,15 +1,12 @@
 #include "src/engine/exec_core.hpp"
 
-#include <limits>
-#include <thread>
-
 #include "src/jobs/io.hpp"
 
 namespace moldable::engine::exec {
 
 unsigned resolve_threads(unsigned configured) {
   if (configured != 0) return configured;
-  return std::max(1u, std::thread::hardware_concurrency());
+  return util::available_cpus();
 }
 
 Percentiles percentiles_of(std::vector<double>& samples) {
@@ -85,74 +82,6 @@ MemoPlan plan_memo(const std::vector<jobs::Instance>& batch, std::uint64_t confi
     }
   }
   return plan;
-}
-
-RaceArena::RaceArena(std::size_t lanes, unsigned width)
-    : tokens_(lanes),
-      posts_(lanes),
-      width_(width == 0 ? static_cast<unsigned>(std::min<std::size_t>(
-                              lanes, std::numeric_limits<unsigned>::max()))
-                        : width) {
-  if (width_ == 0) width_ = 1;  // zero lanes: run() is a no-op either way
-}
-
-void RaceArena::post(std::size_t lane, double makespan, double lower_bound,
-                     bool decisive) {
-  Post& p = posts_[lane];
-  p.posted = true;
-  p.decisive = decisive;
-  p.makespan = makespan;
-  p.lower_bound = lower_bound;
-  // Order-directional cancellation: only *later* lanes are told to stop.
-  // The serial canonicalization excludes every lane after the earliest
-  // decisive completer, so cancelling later lanes can only kill work that
-  // canonicalization would discard anyway — never a lane whose result the
-  // deterministic finalize still needs.
-  if (decisive)
-    for (std::size_t v = lane + 1; v < tokens_.size(); ++v) tokens_[v].cancel();
-}
-
-void RaceArena::run(const std::function<void(std::size_t)>& body) {
-  const std::size_t n = tokens_.size();
-  if (n == 0) return;
-  const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(width_, n));
-  const auto pump = [&] {
-    for (;;) {
-      const std::size_t lane = cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (lane >= n) return;
-      body(lane);
-    }
-  };
-  if (workers <= 1) {
-    pump();
-    return;
-  }
-  // The calling shard worker participates, so `width` lanes make progress
-  // with width-1 spawned threads. body is contractually non-throwing, but
-  // mirror parallel_for's capture anyway: a bug must surface on the caller,
-  // not std::terminate a detached worker.
-  std::vector<std::thread> pool;
-  std::vector<std::exception_ptr> errors(workers - 1);
-  pool.reserve(workers - 1);
-  for (unsigned t = 0; t + 1 < workers; ++t)
-    pool.emplace_back([&, t] {
-      try {
-        pump();
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    });
-  std::exception_ptr own;
-  try {
-    pump();
-  } catch (...) {
-    own = std::current_exception();
-  }
-  for (auto& th : pool) th.join();
-  if (own) std::rethrow_exception(own);
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace moldable::engine::exec

@@ -1,7 +1,7 @@
 // The shared execution core under both batch engines (and the stream layer
 // on top of them).
 //
-// BatchSolver and PortfolioSolver are policies — "run one solver" vs "race a
+// BatchSolver and PortfolioSolver are policies — "run one solver" vs "try a
 // variant list" — over one identical execution skeleton:
 //
 //   * per-index outcome slots, sized up front, each worker writing only its
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "src/jobs/instance.hpp"
-#include "src/util/cancel.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/timer.hpp"
 
@@ -70,8 +68,9 @@ inline double percentile_sorted(const std::vector<double>& sorted, double p) {
 
 namespace moldable::engine::exec {
 
-/// Resolves a configured worker count: 0 means hardware concurrency, and the
-/// result is always at least 1 (hardware_concurrency may report 0).
+/// Resolves a configured worker count: 0 means every CPU the calling thread
+/// may run on (util::available_cpus — the affinity mask, so a pinned or
+/// cpuset-restricted process is not oversubscribed); always at least 1.
 unsigned resolve_threads(unsigned configured);
 
 /// The p50/p90/p99/max summary every stats table in the engine layer
@@ -223,61 +222,5 @@ ShardTiming run_sharded(std::size_t n, unsigned threads, const MemoPlan* plan,
   timing.wall_seconds = batch_timer.seconds();
   return timing;
 }
-
-/// The cross-thread racing substrate for PortfolioSolver's `--race` mode:
-/// one arena per raced instance, owning the lane worker pool, the per-lane
-/// posted-result slots, and the winner protocol's cancellation fan-out.
-///
-/// A *lane* is one portfolio variant's run on the instance. `run(body)`
-/// executes body(lane) for every lane on up to `width` threads (the calling
-/// thread participates; width 1 runs the lanes inline in order, which is
-/// exactly the sequential portfolio loop). Lanes are claimed in lane order
-/// from an atomic cursor, so earlier portfolio variants start no later than
-/// later ones.
-///
-/// Winner protocol: a lane that ran to completion calls post(). A post
-/// flagged `decisive` — the caller certifies its makespan is at or below
-/// the instance's certified lower bound, so no peer can produce a strictly
-/// better schedule — cancels every *later* lane's token (cancellation is
-/// deliberately order-directional: the serial canonicalization in
-/// PortfolioSolver excludes exactly the lanes after the earliest decisive
-/// completer, and the physical cancellations here must be a subset of that
-/// deterministic exclusion — see portfolio.hpp's determinism contract).
-///
-/// Thread-safety: each lane writes only its own post slot; tokens are
-/// atomic latches; run() joins every worker before returning, so the caller
-/// reads posts/attempt slots race-free after run().
-class RaceArena {
- public:
-  struct Post {
-    bool posted = false;
-    bool decisive = false;  ///< makespan at/below the certified lower bound
-    double makespan = 0;
-    double lower_bound = 0;
-  };
-
-  /// `width` = max lanes running concurrently; 0 means one thread per lane.
-  RaceArena(std::size_t lanes, unsigned width);
-
-  std::size_t lanes() const { return tokens_.size(); }
-  util::CancelToken& token(std::size_t lane) { return tokens_[lane]; }
-  const Post& post_of(std::size_t lane) const { return posts_[lane]; }
-
-  /// Records lane's completed result; a decisive post cancels all later
-  /// lanes. Call at most once per lane, from the thread running that lane.
-  void post(std::size_t lane, double makespan, double lower_bound, bool decisive);
-
-  /// Runs body(lane) for every lane in [0, lanes) on min(width, lanes)
-  /// workers. body must write only lane-local state (the per-index-slot
-  /// contract) and must not throw — solver errors are recorded in the
-  /// attempt slots, exactly as in the shard loop.
-  void run(const std::function<void(std::size_t lane)>& body);
-
- private:
-  std::vector<util::CancelToken> tokens_;
-  std::vector<Post> posts_;
-  std::atomic<std::size_t> cursor_{0};
-  unsigned width_;
-};
 
 }  // namespace moldable::engine::exec

@@ -9,7 +9,6 @@
 #include "src/engine/exec_core.hpp"
 #include "src/engine/policy.hpp"
 #include "src/sched/validator.hpp"
-#include "src/util/cancel.hpp"
 #include "src/util/common.hpp"
 
 namespace moldable::engine {
@@ -40,8 +39,8 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
       const std::size_t v = it->second;
       VariantStats& s = out[v];
       // Wall stats cover every attempt: a variant that burns time before
-      // failing or being cancelled still costs the race, and hiding that
-      // would make expensive never-winning variants look free in the table.
+      // failing still costs the portfolio, and hiding that would make
+      // expensive never-winning variants look free in the table.
       walls[v].push_back(a.wall_seconds);
       if (a.outcome == AttemptOutcome::kCancelled) {
         ++s.cancelled;
@@ -80,9 +79,7 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
 /// Config part of the memo key (see the BatchSolver twin): variant list,
 /// eps, and the tie-break mode — the winner label is stored in the cached
 /// outcome, so outcomes produced under different tie-break rules must not
-/// alias. `race`/`race_width` are deliberately NOT mixed in: racing is
-/// contractually outcome-invariant, so raced and sequential entries are
-/// interchangeable.
+/// alias.
 std::uint64_t config_memo_key(const PortfolioConfig& config) {
   std::uint64_t h = detail::kFnvOffsetBasis;
   const char tag[] = "portfolio";
@@ -98,16 +95,13 @@ std::uint64_t config_memo_key(const PortfolioConfig& config) {
   return h;
 }
 
-/// Collapses an attempt to the canonical excluded stub: name + kCancelled,
-/// every certificate field zero. wall_seconds is preserved (measured-only,
-/// excluded from the digest — the partial burn is real racing cost).
+/// Fills an attempt as the canonical excluded stub: name + kCancelled, every
+/// certificate field zero, no wall time (the variant never ran).
 void stub_cancelled(VariantAttempt& a, const std::string& algorithm) {
-  const double wall = a.wall_seconds;
   a = VariantAttempt{};
   a.algorithm = algorithm;
   a.outcome = AttemptOutcome::kCancelled;
   a.error = "cancelled: an earlier variant completed at the certified lower bound";
-  a.wall_seconds = wall;
 }
 
 }  // namespace
@@ -124,7 +118,7 @@ std::vector<std::string> parse_portfolio_spec(const std::string& spec) {
       throw std::invalid_argument(
           "portfolio: duplicate variant '" + name +
           "' (each variant may appear once — duplicates would skew the win "
-          "table and waste a race lane)");
+          "table and waste an attempt)");
     names.push_back(std::move(name));
     pos = comma + 1;
   }
@@ -247,19 +241,16 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
     result.memo_misses = plan.misses;
   }
 
-  // One variant's attempt, run to completion / failure / cancellation.
-  // Pure except for the wall stamp; `token` is only ever the lane's own
-  // race token (null in the sequential path and in the repair path).
-  const auto run_attempt = [&](std::size_t i, std::size_t v, VariantAttempt& a,
-                               const util::CancelToken* token) {
+  // One variant's attempt, run to completion or failure. Pure except for
+  // the wall stamp.
+  const auto run_attempt = [&](std::size_t i, std::size_t v, VariantAttempt& a) {
     a.algorithm = config.variants[v];
     util::Timer attempt_timer;
     try {
       SolverConfig solver_config;
       solver_config.eps = config.eps;
-      solver_config.cancel = token;
-      // Warm per-thread scratch: race lanes and shard workers each get
-      // their own arena, so reuse is safe under any interleaving.
+      // Warm per-thread scratch: each shard worker gets its own arena, so
+      // reuse is safe under any interleaving.
       solver_config.arena = &util::thread_scratch_arena();
       const core::ScheduleResult r = (*solvers[v])(batch[i], solver_config);
       const sched::ValidationResult check = sched::validate(r.schedule, batch[i]);
@@ -273,10 +264,6 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
       a.ratio = r.ratio_vs_lower;
       a.guarantee = r.guarantee;
       a.dual_calls = r.dual_calls;
-    } catch (const util::cancelled_error& e) {
-      a.outcome = AttemptOutcome::kCancelled;
-      a.ok = false;
-      a.error = e.what();
     } catch (const std::exception& e) {
       a.outcome = AttemptOutcome::kFailed;
       a.ok = false;
@@ -290,8 +277,8 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         PortfolioOutcome& out = result.outcomes[i];
         // The instance's execution plan maps lanes (attempt slots) to
         // config-variant indices; without a plan, lane l IS variant l. The
-        // plan order is the canonical order for everything below — race
-        // seeding, the early-cancel walk, the digest.
+        // plan order is the canonical order for everything below — the
+        // early-cancel walk and the digest.
         const std::vector<std::uint16_t>* vp = plan_of(i);
         std::vector<std::uint16_t> lane_vars;
         if (vp) {
@@ -301,7 +288,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
           std::iota(lane_vars.begin(), lane_vars.end(), std::uint16_t{0});
         }
         // Capability filter (memory axis): a memory-constrained instance
-        // races only the memory-aware subset of its planned lanes — blind
+        // tries only the memory-aware subset of its planned lanes — blind
         // variants are dropped, not failed, so a mixed portfolio degrades
         // gracefully. Deterministic: a pure function of instance content and
         // the registry's declared capabilities, both memo-key-covered. When
@@ -339,45 +326,9 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
                                  ? certified_lower_bound(batch[i])
                                  : -std::numeric_limits<double>::infinity();
 
-        if (config.race && lanes > 1) {
-          // Concurrent lanes on the arena, nested inside this shard worker.
-          // A decisive completion (makespan <= omega) cancels later lanes;
-          // lanes whose token fired before they started are stubbed without
-          // running at all.
-          exec::RaceArena arena(lanes, config.race_width);
-          arena.run([&](std::size_t lane) {
-            VariantAttempt& a = out.attempts[lane];
-            const util::CancelToken& token = arena.token(lane);
-            if (token.cancelled()) {
-              a.outcome = AttemptOutcome::kCancelled;
-              a.algorithm = config.variants[variant_of(lane)];
-              return;
-            }
-            run_attempt(i, variant_of(lane), a, &token);
-            if (a.outcome == AttemptOutcome::kCompleted)
-              arena.post(lane, a.makespan, a.lower_bound, a.makespan <= omega);
-          });
-        } else {
-          // Sequential lanes in plan order; once the instance is decided
-          // the remaining lanes are skipped outright (the canonicalization
-          // below stubs them).
-          bool decided = false;
-          for (std::size_t lane = 0; lane < lanes && !decided; ++lane) {
-            VariantAttempt& a = out.attempts[lane];
-            run_attempt(i, variant_of(lane), a, nullptr);
-            decided = a.ok && a.makespan <= omega;
-          }
-        }
-
-        // Canonicalization: re-derive the deterministic attempt set from
-        // completed results. Walk in plan order; once a completed attempt
-        // decides (makespan <= omega) every later attempt becomes the
-        // canonical kCancelled stub — whether its physical cancellation
-        // landed, it never started, or it even completed after the
-        // decision. A kept lane can only be physically cancelled if a
-        // custom solver threw cancelled_error spuriously (the arena only
-        // cancels lanes the rule excludes); repair it with a serial re-run
-        // so the canonical set never depends on timing.
+        // The early-cancel walk, in plan order: run each lane until one
+        // completes at or below omega and so decides the instance; every
+        // later lane becomes the canonical kCancelled stub without running.
         bool decided = false;
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           VariantAttempt& a = out.attempts[lane];
@@ -385,15 +336,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
             stub_cancelled(a, config.variants[variant_of(lane)]);
             continue;
           }
-          if (a.outcome == AttemptOutcome::kCancelled) {
-            run_attempt(i, variant_of(lane), a, nullptr);
-            if (a.outcome == AttemptOutcome::kCancelled) {
-              // A solver that throws cancelled_error with no token: treat
-              // as a plain failure so canonicalization terminates.
-              a.outcome = AttemptOutcome::kFailed;
-              a.ok = false;
-            }
-          }
+          run_attempt(i, variant_of(lane), a);
           decided = a.ok && a.makespan <= omega;
         }
 
@@ -447,7 +390,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
   // store-promised slot before the first insertion (a bounded store may
   // evict a promised entry when fresh outcomes are recorded), then resolve
   // in-batch duplicates, stamp index/queue, and store fresh outcomes.
-  // Served slots zero the racing cost — nothing was raced.
+  // Served slots zero the compute cost — nothing was solved.
   if (memo) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (plan.source[i] != exec::MemoPlan::kFromStore) continue;

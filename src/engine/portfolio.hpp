@@ -1,16 +1,17 @@
-// PortfolioSolver: race several registry variants per instance, keep the best.
+// PortfolioSolver: try several registry variants per instance, keep the best.
 //
-// Capability filtering (memory axis): a memory-constrained instance races
+// Capability filtering (memory axis): a memory-constrained instance tries
 // only the memory-aware subset of its planned lanes — memory-blind variants
 // are auto-dropped per instance (deterministically: instance content and
 // registry capabilities are both memo-key-covered). When no planned lane is
 // memory-aware the instance fails closed with the named capability error on
 // every lane, never a memory-overcommitted schedule.
 //
-// For every instance of a batch the configured variants are raced and the
-// portfolio keeps the best *valid* schedule per instance — validity is
-// re-checked with sched::validate, not just assumed from solver success —
-// combining the variants' certificates:
+// For every instance of a batch the configured variants run one after
+// another inside the instance's worker shard, and the portfolio keeps the
+// best *valid* schedule per instance — validity is re-checked with
+// sched::validate, not just assumed from solver success — combining the
+// variants' certificates:
 //
 //   * makespan     = min over completed variants (the kept schedule's),
 //   * lower_bound  = max over completed variants (each bound is
@@ -24,40 +25,16 @@
 //   * guarantee    = min proven factor among the variants that achieved the
 //                    best makespan.
 //
-// Early-cancel rule (both execution modes): each instance first gets the
-// Ludwig-Tiwari estimator's certified lower bound omega (<= OPT). The
-// variants are considered in portfolio order; the first completed variant
-// whose valid makespan is <= omega *decides* the instance — no peer can
-// produce a strictly better schedule, because every certified lower bound
-// sandwiches OPT under that makespan — and every LATER variant is excluded
-// with a kCancelled attempt (a deterministic stub: name + outcome only).
-// The excluded set is therefore a pure function of (batch, variants, eps):
-// earlier variants are never excluded by later ones, completed results are
-// pure, and the decision threshold omega is deterministic.
-//
-// Execution modes:
-//   * sequential (race = false): variants run one after another inside the
-//     instance's worker shard; once the instance is decided the remaining
-//     variants are skipped outright (tail latency already improves here);
-//   * racing (race = true): the variants run concurrently on an
-//     exec::RaceArena nested inside the worker shard (up to race_width
-//     lanes at once, so total concurrency is threads x race_width). A
-//     decisive completer fires the later lanes' CancelTokens; the built-in
-//     solvers observe them at iteration / DP-row / branch-and-bound-tick
-//     granularity and unwind with util::cancelled_error.
-//
-// Determinism contract: physical cancellation in race mode is a *subset* of
-// the deterministic exclusion rule above (a lane is only ever cancelled by
-// an earlier decisive lane, and a decisive completion excludes all later
-// lanes canonically). The serial canonicalization pass re-derives the
-// canonical attempt set from completed results — stubbing excluded attempts
-// whether or not their cancellation physically landed — so every
-// digest-covered field is identical between sequential and race mode, at
-// any threads / race_width combination. `--race` changes wall-clock, never
-// bytes. (In the unexpected case of a lane that was physically cancelled
-// but is canonically kept — possible only for a custom solver throwing
-// cancelled_error spuriously — the canonicalization re-runs it serially;
-// solvers are pure, so the repair is deterministic too.)
+// Early-cancel rule: each instance first gets the Ludwig-Tiwari
+// estimator's certified lower bound omega (<= OPT). The variants run in
+// portfolio order; the first completed variant whose valid makespan is
+// <= omega *decides* the instance — no peer can produce a strictly better
+// schedule, because every certified lower bound sandwiches OPT under that
+// makespan — and every LATER variant is skipped outright, recorded as a
+// kCancelled attempt (a deterministic stub: name + outcome only). The
+// skipped set is therefore a pure function of (batch, variants, eps):
+// completed results are pure and the decision threshold omega is
+// deterministic.
 //
 // All combined certificate fields are pure functions of (batch, variants,
 // eps) and enter the digest. The *winner name* is tie-broken by makespan,
@@ -68,7 +45,7 @@
 // earliest variant in portfolio order, making the full win-count table a
 // pure function of (batch, variants, eps), reproducible for CI comparison.
 // Winner identity and all wall/queue fields are excluded from the digest
-// under either mode — see PortfolioResult::digest().
+// under either tie-break mode — see PortfolioResult::digest().
 #pragma once
 
 #include <cstdint>
@@ -84,7 +61,7 @@ namespace moldable::engine {
 /// Parses a comma-separated variant list ("fptas,mrt,lt-2approx") into
 /// names, trimming surrounding whitespace. Throws std::invalid_argument for
 /// an empty spec, an empty element, or a duplicate name (duplicates would
-/// skew the win table and waste a race lane). Names are NOT checked against
+/// skew the win table and waste an attempt). Names are NOT checked against
 /// a registry here — PortfolioSolver::solve does that up front so the error
 /// carries the known-name list.
 std::vector<std::string> parse_portfolio_spec(const std::string& spec);
@@ -97,24 +74,16 @@ enum class TieBreak {
 };
 
 struct PortfolioConfig {
-  std::vector<std::string> variants;  ///< registry names to race, in order
+  std::vector<std::string> variants;  ///< registry names to try, in order
   double eps = 0.1;                   ///< approximation parameter, in (0, 1]
-  unsigned threads = 0;               ///< worker threads; 0 = hardware concurrency
+  unsigned threads = 0;               ///< worker threads; 0 = all available CPUs
   TieBreak tie_break = TieBreak::kWallTime;  ///< winner selection under ties
-  /// Overlap the variants of one instance on an exec::RaceArena instead of
-  /// running them sequentially in the shard. Changes wall-clock only: the
-  /// canonical attempt set, every certificate field, and the digest are
-  /// bitwise identical to the sequential mode (see the file comment).
-  bool race = false;
-  /// Concurrent variant lanes per raced instance; 0 = one lane per variant.
-  /// Total worker concurrency in race mode is threads x race_width.
-  unsigned race_width = 0;
   /// Optional per-instance execution plans (the policy layer's down-shift /
   /// prior-seeding hook), index-aligned with the batch; null = every
   /// instance runs the full portfolio in config order. Each inner vector
   /// lists `variants` indices in seeding order: that order IS the canonical
-  /// attempt order for the instance — race lanes, the early-cancel walk,
-  /// and the digest all follow it — so a plan deterministically changes the
+  /// attempt order for the instance — the early-cancel walk and the digest
+  /// both follow it — so a plan deterministically changes the
   /// outcome (and must be reproduced to reproduce the digest). An empty
   /// inner vector (or a missing entry past the vector's end) is the
   /// identity plan: full portfolio, config order, bitwise identical to a
@@ -135,8 +104,7 @@ enum class AttemptOutcome : unsigned char {
 /// deterministic; the digest covers the deterministic fields minus `error`
 /// (exception text is not part of the stability contract). A kCancelled
 /// attempt is a canonical stub — name + outcome, all certificate fields
-/// zero — regardless of whether the variant never started, was cancelled
-/// mid-run, or even completed after the instance was already decided.
+/// zero — the variant never ran.
 struct VariantAttempt {
   std::string algorithm;
   AttemptOutcome outcome = AttemptOutcome::kFailed;
@@ -147,9 +115,8 @@ struct VariantAttempt {
   double ratio = 0;
   double guarantee = 0;
   int dual_calls = 0;
-  /// This variant's measured compute time (not deterministic). For a
-  /// cancelled attempt: the partial burn before the cancel landed in race
-  /// mode, 0 when the lane was skipped before starting.
+  /// This variant's measured compute time (not deterministic); 0 for a
+  /// cancelled attempt.
   double wall_seconds = 0;
 };
 
@@ -181,7 +148,7 @@ struct VariantStats {
   std::size_t solved = 0;  ///< completed (valid-schedule) attempts
   std::size_t failed = 0;  ///< failed attempts (cancelled NOT included)
   /// Attempts excluded by the early-cancel rule. Deterministic (the rule
-  /// is), and identical between sequential and race mode.
+  /// is).
   std::size_t cancelled = 0;
   /// Quality gap of a completed attempt: makespan / best_makespan - 1,
   /// i.e. how far behind the per-instance winner this variant was (0 when it
@@ -189,8 +156,8 @@ struct VariantStats {
   double gap_mean = 0;
   double gap_max = 0;
   /// Wall stats cover ALL attempts — failed ones burn compute before
-  /// throwing, and cancelled ones report their partial burn (0 when skipped
-  /// before starting). Same p50/p90/p99/max ladder as AlgorithmStats.
+  /// throwing, and cancelled ones report 0. Same p50/p90/p99/max ladder as
+  /// AlgorithmStats.
   double wall_total = 0;
   double wall_p50 = 0, wall_p90 = 0, wall_p99 = 0, wall_max = 0;
 };
@@ -210,7 +177,7 @@ struct PortfolioResult {
   std::size_t memo_misses = 0;
   /// Batch-level shard-pickup latency percentiles over all outcomes (queue
   /// time is a property of the instance's shard slot, shared by every
-  /// variant raced on it). Not deterministic, excluded from the digest.
+  /// variant tried on it). Not deterministic, excluded from the digest.
   double queue_p50 = 0, queue_p99 = 0, queue_max = 0;
 
   /// FNV-1a over the deterministic fields, batch order: per outcome
@@ -218,8 +185,7 @@ struct PortfolioResult {
   /// (algorithm, outcome, ok, makespan, lower_bound, ratio, guarantee,
   /// dual_calls). Winner names, win counts, and all wall/queue fields are
   /// excluded — they may legitimately differ between runs (see file
-  /// comment). Equal across thread counts, and between sequential and race
-  /// mode, for the same batch + config.
+  /// comment). Equal across thread counts for the same batch + config.
   std::uint64_t digest() const;
 };
 
@@ -228,7 +194,7 @@ class PortfolioSolver {
   /// The registry must outlive the solver (the global registry always does).
   explicit PortfolioSolver(const AlgorithmRegistry& registry = AlgorithmRegistry::global());
 
-  /// Races config.variants on every instance. Throws std::invalid_argument
+  /// Runs config.variants on every instance. Throws std::invalid_argument
   /// up front when the variant list is empty, contains an unknown or
   /// duplicate name, or eps is out of range; per-instance solver errors are
   /// recorded in the outcomes instead of thrown. A single-variant portfolio
@@ -238,9 +204,6 @@ class PortfolioSolver {
   /// BatchSolver::solve: duplicate instances reuse the stored outcome
   /// (winner label included), the digest is unchanged, served outcomes
   /// report zero compute, and the store must not be shared concurrently.
-  /// Race mode does not enter the memo key — raced and sequential runs
-  /// produce identical outcomes by contract, so their cache entries are
-  /// interchangeable.
   PortfolioResult solve(const std::vector<jobs::Instance>& batch,
                         const PortfolioConfig& config,
                         exec::MemoStore<PortfolioOutcome>* memo = nullptr) const;

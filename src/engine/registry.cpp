@@ -13,10 +13,8 @@ namespace {
 
 SolverFn enum_solver(core::Algorithm algo) {
   return [algo](const jobs::Instance& instance, const SolverConfig& config) {
-    // The scopes make config.cancel and config.arena visible to every hot
-    // loop below this frame (util::poll_cancellation, util::scratch_arena)
-    // — no core signature changes.
-    util::CancelScope scope(config.cancel);
+    // The scope makes config.arena visible to every hot loop below this
+    // frame (util::scratch_arena) — no core signature changes.
     util::ArenaScope arena_scope(config.arena);
     return core::schedule_moldable(instance, config.eps, algo);
   };
@@ -24,7 +22,6 @@ SolverFn enum_solver(core::Algorithm algo) {
 
 core::ScheduleResult solve_exact_wrapped(const jobs::Instance& instance,
                                          const SolverConfig& config) {
-  util::CancelScope scope(config.cancel);
   util::ArenaScope arena_scope(config.arena);
   const auto exact = core::solve_exact(instance);  // throws over the hard caps
   if (!exact)
@@ -41,7 +38,6 @@ core::ScheduleResult solve_exact_wrapped(const jobs::Instance& instance,
 
 core::ScheduleResult memory_greedy_wrapped(const jobs::Instance& instance,
                                            const SolverConfig& config) {
-  util::CancelScope scope(config.cancel);
   util::ArenaScope arena_scope(config.arena);
   const core::BaselineResult b = core::memory_greedy_schedule(instance);
   core::ScheduleResult out;
@@ -66,7 +62,6 @@ AlgorithmRegistry AlgorithmRegistry::with_builtins() {
         core::Algorithm::kBoundedLinear, core::Algorithm::kLudwigTiwari})
     r.add(core::algorithm_name(a), enum_solver(a));
   r.add("ptas", [](const jobs::Instance& instance, const SolverConfig& config) {
-    util::CancelScope scope(config.cancel);
     util::ArenaScope arena_scope(config.arena);
     return core::ptas_schedule(instance, config.eps);
   });

@@ -32,7 +32,6 @@
 #include "src/core/scheduler.hpp"
 #include "src/jobs/instance.hpp"
 #include "src/util/arena.hpp"
-#include "src/util/cancel.hpp"
 
 namespace moldable::engine {
 
@@ -41,16 +40,6 @@ namespace moldable::engine {
 /// every solver signature.
 struct SolverConfig {
   double eps = 0.1;  ///< approximation parameter, in (0, 1]
-  /// Cooperative cancellation (portfolio racing): when non-null, the caller
-  /// may fire this token mid-solve and the solver should unwind with
-  /// util::cancelled_error as soon as it notices. The built-in wrappers
-  /// install the token as the thread's active CancelScope, so the core
-  /// layer's long loops (dual-search iterations, knapsack DP rows, exact
-  /// branch-and-bound ticks) observe it through util::poll_cancellation()
-  /// without any signature plumbing; custom variants should either check it
-  /// directly or install their own scope. Cancellation never alters a
-  /// *returned* result — a solve completes pure or it throws.
-  const util::CancelToken* cancel = nullptr;
   /// Scratch memory for the solver's hot kernels (dense DP rows, Pareto
   /// merge buffers). When non-null, the built-in wrappers install it as the
   /// thread's active ScratchArena for the duration of the solve, letting an

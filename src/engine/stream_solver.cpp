@@ -61,10 +61,6 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     }
   } else {
     registry_->at(config.algorithm);
-    if (config.race)
-      throw std::invalid_argument(
-          "stream: race mode requires a portfolio (a single solver has no "
-          "peers to race)");
   }
   // Canonicalize deadline keys the way Instance does ("default" == the
   // unlabelled class) so the lookup below can use sla_class() verbatim.
@@ -109,8 +105,6 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
   portfolio_config.eps = config.eps;
   portfolio_config.threads = config.threads;
   portfolio_config.tie_break = config.tie_break;
-  portfolio_config.race = config.race;
-  portfolio_config.race_width = config.race_width;
 
   const BatchSolver batch_solver(*registry_);
   const PortfolioSolver portfolio_solver(*registry_);
@@ -334,7 +328,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
       // win credit goes to the CANONICAL winner — the earliest attempt in
       // plan order that completed at the outcome makespan — not the
       // tie-break label, which under kWallTime may differ between runs.
-      // Cancelled attempts (race losers) are debited. Memo-served outcomes
+      // Cancelled attempts (skipped by the early-cancel rule) are debited. Memo-served outcomes
       // count too: their attempt sets are canonical by construction. Runs
       // whenever the policy is active so a shed-only serve still learns the
       // leaders its down-shifts will target.

@@ -1,7 +1,7 @@
 // SocketServer: a TCP/Unix-socket listener that multiplexes many concurrent
 // client sessions into ONE merged record stream — an engine::InstanceSource
-// — so a single StreamSolver serve loop (one shared exec core, memo store,
-// and race arena) serves every connection at once.
+// — so a single StreamSolver serve loop (one shared exec core and memo
+// store) serves every connection at once.
 //
 // Shape (the central-update-loop idiom: one solver loop, many independent
 // clients notified as their results land):

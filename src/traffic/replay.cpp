@@ -102,7 +102,6 @@ std::string serve_line(const engine::StreamConfig& c) {
      << " window-history=" << c.window_history
      << " raw-samples=" << (c.raw_samples ? 1 : 0)
      << " tie-break=" << (c.tie_break == engine::TieBreak::kWallTime ? "wall" : "order")
-     << " race=" << (c.race ? 1 : 0) << " race-width=" << c.race_width
      << " shed=" << (c.shed ? 1 : 0) << " adapt=" << (c.adapt ? 1 : 0);
   return os.str();
 }
@@ -121,10 +120,13 @@ void apply_serve_kv(engine::StreamConfig& c, const std::string& key,
     if (value == "wall") c.tie_break = engine::TieBreak::kWallTime;
     else if (value == "order") c.tie_break = engine::TieBreak::kPortfolioOrder;
     else fail("unknown tie-break '" + value + "' (expected wall|order)");
-  } else if (key == "race") c.race = parse_u64(value, key) != 0;
-  else if (key == "race-width")
-    c.race_width = static_cast<unsigned>(parse_u64(value, key));
-  else if (key == "shed") c.shed = parse_u64(value, key) != 0;
+  } else if (key == "race" || key == "race-width") {
+    // Written by older recorders that could run a portfolio's variants on
+    // nested threads. That never changed an output byte, so the keys are
+    // still validated but otherwise ignored: such a session replays
+    // bit-exact.
+    parse_u64(value, key);
+  } else if (key == "shed") c.shed = parse_u64(value, key) != 0;
   else if (key == "adapt") c.adapt = parse_u64(value, key) != 0;
   else fail("unknown serve-config key '" + key + "'");
 }

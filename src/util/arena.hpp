@@ -21,15 +21,14 @@
 //
 // Kernels pick their arena through scratch_arena(), which returns the arena
 // installed by the innermost ArenaScope on this thread, falling back to a
-// per-thread default. This mirrors CancelScope/poll_cancellation: the core
-// algorithms stay signature-free, and the engine wrappers install
-// SolverConfig::arena around each solve. The arena is strictly a memory
-// recycler — results never alias arena memory after a kernel returns, so
+// per-thread default. The core algorithms stay signature-free: the engine
+// wrappers install SolverConfig::arena around each solve. The arena is
+// strictly a memory recycler — results never alias arena memory after a kernel returns, so
 // the engines' bitwise determinism contract is untouched.
 //
 // Thread-compatibility: a ScratchArena is single-threaded by design (one
-// race lane / worker thread each). The per-thread default keeps parallel
-// batch workers isolated without any locking.
+// per worker thread). The per-thread default keeps parallel batch workers
+// isolated without any locking.
 #pragma once
 
 #include <cstddef>
@@ -146,7 +145,8 @@ ScratchArena& scratch_arena();
 ScratchArena& thread_scratch_arena();
 
 /// RAII installer of the calling thread's active scratch arena (nullable —
-/// null re-selects the thread default). Nests like CancelScope.
+/// null re-selects the thread default). Nests: the destructor restores
+/// whatever was active before.
 class ArenaScope {
  public:
   explicit ArenaScope(ScratchArena* arena);

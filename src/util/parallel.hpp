@@ -11,14 +11,35 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace moldable::util {
+
+/// CPUs the calling thread may run on: the sched_getaffinity mask's count
+/// where that call exists and succeeds, else hardware_concurrency(); never
+/// less than 1. Sizing a pool by the affinity mask keeps a CPU-restricted
+/// process (taskset, cgroup cpusets) from oversubscribing the CPUs it was
+/// given.
+inline unsigned available_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /// Runs body(i) for i in [0, n) across up to `threads` std::threads with
 /// static block partitioning. Exceptions from workers are captured and the
 /// first one is rethrown on the calling thread after the join. body must be
 /// safe to call concurrently for distinct i (the usual contract).
 inline void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                         unsigned threads = std::thread::hardware_concurrency()) {
+                         unsigned threads = available_cpus()) {
   if (n == 0) return;
   threads = std::max(1u, std::min<unsigned>(threads, static_cast<unsigned>(n)));
   if (threads == 1) {

@@ -1,9 +1,15 @@
 // Engine-layer tests: AlgorithmRegistry name lookup and the BatchSolver's
 // sharding contract — determinism across thread counts, empty/singleton
-// batches, per-algorithm aggregation, and per-instance failure isolation.
+// batches, per-algorithm aggregation, per-instance failure isolation, and
+// the affinity-aware default worker count.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "src/core/scheduler.hpp"
 #include "src/engine/batch_solver.hpp"
@@ -490,6 +496,34 @@ TEST(BatchSolver, QueueAndComputeLatenciesAreSplit) {
   // re-solved gives the same digest even though timings differ.
   EXPECT_EQ(r.digest(), BatchSolver().solve(batch, config).digest());
 }
+
+#if defined(__linux__)
+TEST(ExecCore, ResolveThreadsZeroHonoursCpuAffinity) {
+  // A thread pinned to one CPU must get one default worker, however many
+  // CPUs the host has — hardware_concurrency() would oversubscribe it.
+  cpu_set_t current;
+  CPU_ZERO(&current);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(current), &current), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &current)) ++first;
+
+  unsigned pinned_default = 0, pinned_explicit = 0;
+  int pin_status = -1;
+  std::thread worker([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    pin_status = sched_setaffinity(0, sizeof(one), &one);  // this thread only
+    pinned_default = exec::resolve_threads(0);
+    pinned_explicit = exec::resolve_threads(3);
+  });
+  worker.join();
+  ASSERT_EQ(pin_status, 0);
+  EXPECT_EQ(pinned_default, 1u);
+  EXPECT_EQ(pinned_explicit, 3u);  // an explicit count is never capped
+  EXPECT_EQ(exec::resolve_threads(0), static_cast<unsigned>(CPU_COUNT(&current)));
+}
+#endif
 
 }  // namespace
 }  // namespace moldable::engine

@@ -11,7 +11,7 @@
 // capacity 0/1/exact-fit, duplicate items, zero-size and over-capacity
 // items, and size mixes straddling the SIMD word threshold (sz < 64 scalar
 // path vs sz >= 64 word path). A warm-arena repetition guards against stale
-// scratch leaking into results, and a portfolio race/sequential digest
+// scratch leaking into results, and a 4-thread/1-thread portfolio digest
 // cross-check exercises the arena plumbing end to end.
 #include <gtest/gtest.h>
 
@@ -160,11 +160,12 @@ TEST(KernelEquivalence, WarmArenaRepeatsAreIdentical) {
   EXPECT_GT(arena.capacity_bytes(), 0u);  // the kernels actually used it
 }
 
-// With SolverConfig::arena now plumbed through every registry wrapper and
-// per-thread arenas installed by the batch/portfolio engines, racing must
-// still produce the sequential digest bit for bit — arenas recycle memory,
-// never results.
-TEST(KernelEquivalence, RaceDigestMatchesSequentialWithArenasEnabled) {
+// With SolverConfig::arena plumbed through every registry wrapper and
+// per-thread arenas installed by the batch/portfolio engines, spreading a
+// portfolio batch over 4 workers (each warming its own arena on a different
+// instance subset) must reproduce the 1-thread digest bit for bit — arenas
+// recycle memory, never results.
+TEST(KernelEquivalence, PortfolioDigestMatchesAcrossThreadsWithArenasEnabled) {
   std::vector<jobs::Instance> family;
   for (std::uint64_t s = 0; s < 12; ++s)
     family.push_back(jobs::make_instance(jobs::all_families()[s % 4], 24,
@@ -174,16 +175,14 @@ TEST(KernelEquivalence, RaceDigestMatchesSequentialWithArenasEnabled) {
   config.variants = {"mrt", "algorithm1", "algorithm3-linear"};
   config.tie_break = engine::TieBreak::kPortfolioOrder;
 
-  config.race = false;
   config.threads = 1;
-  const std::uint64_t sequential = engine::PortfolioSolver().solve(family, config).digest();
+  const engine::PortfolioResult one = engine::PortfolioSolver().solve(family, config);
+  EXPECT_EQ(one.solved, family.size());
 
-  config.race = true;
-  for (unsigned threads : {1u, 4u}) {
-    config.threads = threads;
-    EXPECT_EQ(engine::PortfolioSolver().solve(family, config).digest(), sequential)
-        << "raced digest diverged at threads=" << threads;
-  }
+  config.threads = 4;
+  const engine::PortfolioResult four = engine::PortfolioSolver().solve(family, config);
+  EXPECT_EQ(four.digest(), one.digest());
+  EXPECT_EQ(four.cancelled_attempts, one.cancelled_attempts);
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ TEST(AdmissionPolicy, DownshiftFiresOnlyWhenSlackIsGone) {
     EXPECT_TRUE(plan.order.empty());
   }
   // Queueing ate the slack: virtual_now + omega > arrival + budget. The
-  // race it was going to run is already lost, so it gets one lane — the
+  // full portfolio no longer fits, so it gets one lane — the
   // class's prior leader (no history yet: config variant 0).
   policy.observe_arrival(budget + omega);
   {

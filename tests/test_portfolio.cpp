@@ -1,10 +1,12 @@
 // Portfolio-engine tests: spec parsing, the combined-certificate semantics
 // (min makespan / max lower bound), winner selection determinism across
-// thread counts, all-variants-fail isolation, and the single-variant
-// degeneration to plain BatchSolver behaviour.
+// thread counts, all-variants-fail isolation, the single-variant
+// degeneration to plain BatchSolver behaviour, and the early-cancel rule on
+// mock solvers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 
@@ -41,7 +43,7 @@ TEST(PortfolioSpec, RejectsEmptyAndDuplicates) {
   EXPECT_THROW(parse_portfolio_spec("fptas,"), std::invalid_argument);
   EXPECT_THROW(parse_portfolio_spec("mrt,mrt"), std::invalid_argument);
   // Duplicates must be caught after trimming (the canonical name is what
-  // would race twice), and the diagnostic must name the offender clearly.
+  // would run twice), and the diagnostic must name the offender clearly.
   EXPECT_THROW(parse_portfolio_spec("fptas, fptas"), std::invalid_argument);
   EXPECT_THROW(parse_portfolio_spec("fptas,mrt,exact,mrt"), std::invalid_argument);
   try {
@@ -222,7 +224,7 @@ Instance memory_capped(std::uint64_t seed) {
 
 TEST(PortfolioSolver, MemoryBlindVariantsAreDroppedFromCappedInstances) {
   // A mixed portfolio degrades gracefully: the memory-constrained middle
-  // instance races only the memory-aware lane, its neighbours race both.
+  // instance runs only the memory-aware lane, its neighbours run both.
   std::vector<Instance> batch;
   batch.push_back(make_instance(Family::kAmdahl, 4, 8, 31));
   batch.push_back(memory_capped(32));
@@ -356,7 +358,7 @@ TEST(PortfolioSolver, MemoServesDuplicatesWithUnchangedDigest) {
   EXPECT_EQ(memo.memo_hits, 1u);
   EXPECT_EQ(memo.memo_misses, 6u);
   EXPECT_EQ(memo.digest(), plain.digest());
-  // The served slot reports zero racing cost but the full outcome.
+  // The served slot reports zero compute cost but the full outcome.
   const PortfolioOutcome& served = memo.outcomes.back();
   EXPECT_TRUE(served.ok);
   EXPECT_EQ(served.winner, memo.outcomes[2].winner);
@@ -395,6 +397,117 @@ TEST(PortfolioSolver, EmptyBatch) {
   ASSERT_EQ(r.per_variant.size(), 1u);
   EXPECT_EQ(r.per_variant[0].wins, 0u);
   EXPECT_EQ(r.digest(), PortfolioSolver().solve({}, pc).digest());
+}
+
+// ------------------------------------------------ early-cancel rule (mock) --
+
+/// A valid schedule running every job back to back on `procs` processors:
+/// trivially capacity-feasible, deterministic, and its makespan shrinks as
+/// `procs` grows (per-job times are non-increasing). The mocks below use it
+/// to emit better/worse results without real solving.
+core::ScheduleResult stacked_result(const Instance& inst, procs_t procs) {
+  core::ScheduleResult out;
+  double now = 0;
+  for (std::size_t j = 0; j < inst.size(); ++j) {
+    const double t = inst.job(j).time(procs);
+    out.schedule.add({j, now, procs, t});
+    now += t;
+  }
+  out.makespan = now;
+  out.lower_bound = inst.size() == 0 ? 0 : inst.trivial_lower_bound();
+  out.ratio_vs_lower = out.lower_bound > 0 ? out.makespan / out.lower_bound : 1;
+  out.guarantee = 2;
+  return out;
+}
+
+/// One moldable job with strictly-decreasing times, so a single-job
+/// instance's estimator bound omega equals t(m) exactly — the regime where
+/// a full-width completion is provably optimal and *decides* the instance.
+Instance single_job_instance(procs_t m, std::uint64_t seed) {
+  return make_instance(Family::kAmdahl, 1, m, seed);
+}
+
+/// Completes with the full-machine stacked schedule — on a single-job
+/// instance its makespan equals omega, so it decides.
+core::ScheduleResult optimal_mock(const Instance& i, const SolverConfig&) {
+  return stacked_result(i, i.machines());
+}
+
+/// Completes with the worst (1-processor) stacked schedule.
+core::ScheduleResult weak_mock(const Instance& i, const SolverConfig&) {
+  return stacked_result(i, 1);
+}
+
+TEST(PortfolioSolver, DecidedInstanceSkipsLaterVariantsEntirely) {
+  // After the decider completes at the certified bound, the later variant
+  // must never even start — early-cancel cuts the tail.
+  AlgorithmRegistry registry;
+  std::atomic<int> later_started{0};
+  registry.add("decider", optimal_mock);
+  registry.add("later", [&](const Instance& i, const SolverConfig& c) {
+    later_started.fetch_add(1, std::memory_order_relaxed);
+    return weak_mock(i, c);
+  });
+
+  const std::vector<Instance> batch{single_job_instance(8, 17),
+                                    single_job_instance(8, 19)};
+  PortfolioConfig pc;
+  pc.variants = {"decider", "later"};
+  const PortfolioResult r = PortfolioSolver(registry).solve(batch, pc);
+
+  EXPECT_EQ(later_started.load(), 0);
+  for (const PortfolioOutcome& o : r.outcomes) {
+    EXPECT_EQ(o.winner, "decider");
+    EXPECT_EQ(o.attempts[1].outcome, AttemptOutcome::kCancelled);
+    // Cancelled attempts are canonical stubs: no certificate fields at all.
+    EXPECT_DOUBLE_EQ(o.attempts[1].makespan, 0.0);
+    EXPECT_DOUBLE_EQ(o.attempts[1].lower_bound, 0.0);
+    EXPECT_DOUBLE_EQ(o.attempts[1].wall_seconds, 0.0);  // never ran
+  }
+  EXPECT_EQ(r.cancelled_attempts, 2u);
+  ASSERT_EQ(r.per_variant.size(), 2u);
+  EXPECT_EQ(r.per_variant[1].cancelled, 2u);
+  EXPECT_EQ(r.per_variant[1].failed, 0u);  // cancelled != failed in the table
+}
+
+TEST(PortfolioSolver, DecisionProofTightensTheCombinedCertificate) {
+  // The decider's self-reported bound is deliberately loose. Its peer (who
+  // might have certified tighter) is skipped — but the decision itself is
+  // a proof of optimality (makespan <= omega <= OPT), so the combined
+  // certificate folds omega in instead of regressing to the loose bound.
+  AlgorithmRegistry registry;
+  registry.add("loose-optimal", [](const Instance& i, const SolverConfig&) {
+    core::ScheduleResult r = stacked_result(i, i.machines());
+    r.lower_bound = r.makespan / 10;  // certified, but needlessly weak
+    r.ratio_vs_lower = 10;
+    return r;
+  });
+  registry.add("weak", weak_mock);
+
+  const std::vector<Instance> batch{single_job_instance(8, 29)};
+  PortfolioConfig pc;
+  pc.variants = {"loose-optimal", "weak"};
+  const PortfolioResult r = PortfolioSolver(registry).solve(batch, pc);
+  ASSERT_EQ(r.solved, 1u);
+  EXPECT_EQ(r.outcomes[0].attempts[1].outcome, AttemptOutcome::kCancelled);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].lower_bound, r.outcomes[0].makespan);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].ratio, 1.0);
+}
+
+TEST(PortfolioSolver, NonDecidingInstanceKeepsEveryAttempt) {
+  // No variant reaches the certified bound: nothing may be skipped, and
+  // the combined certificate must cover every completed attempt.
+  AlgorithmRegistry registry;
+  registry.add("weak-a", weak_mock);
+  registry.add("weak-b", weak_mock);
+
+  const std::vector<Instance> batch{make_instance(Family::kMixed, 6, 32, 23)};
+  PortfolioConfig pc;
+  pc.variants = {"weak-a", "weak-b"};
+  const PortfolioResult r = PortfolioSolver(registry).solve(batch, pc);
+  EXPECT_EQ(r.cancelled_attempts, 0u);
+  EXPECT_EQ(r.outcomes[0].attempts[0].outcome, AttemptOutcome::kCompleted);
+  EXPECT_EQ(r.outcomes[0].attempts[1].outcome, AttemptOutcome::kCompleted);
 }
 
 }  // namespace

@@ -532,16 +532,16 @@ TEST(StreamSolver, InvalidConfigThrowsBeforeConsumingInput) {
 
 // ---------------------------------------------------------- record/replay --
 // The bit-exact record/replay contract (traffic/replay.hpp): a session
-// recorded while served live at --threads 4 --race must replay on 1 thread
+// recorded while served live at --threads 4 must replay on 1 thread
 // with an identical rolling digest and identical memo / cancelled /
 // deadline-miss counters; a truncated or tampered record file must be
 // rejected with a diagnostic naming the defect, and a tampered-but-
 // internally-consistent trailer must be caught by the replay comparison.
 
 /// A storm-shaped stream for the round-trip tests: Poisson arrivals, class
-/// mix, 1-job deciders (so the racing early-cancel rule fires), duplicates
-/// (so the memo hit path runs), enough distinct records to overflow a
-/// capacity-16 memo store.
+/// mix, 1-job deciders (so the portfolio's early-cancel rule fires),
+/// duplicates (so the memo hit path runs), enough distinct records to
+/// overflow a capacity-16 memo store.
 std::string recordable_stream() {
   traffic::TrafficConfig config;
   config.curve = "flash:base=30,peak=300,t0=2,ramp=1,hold=2,decay=2";
@@ -556,14 +556,13 @@ std::string recordable_stream() {
   return out.str();
 }
 
-/// The serve configuration under test: racing portfolio, bounded LRU memo,
-/// an interactive deadline.
+/// The serve configuration under test: portfolio, bounded LRU memo, an
+/// interactive deadline.
 StreamConfig recordable_config(unsigned threads) {
   StreamConfig config;
   config.window = 8;
   config.max_inflight = 2;
   config.variants = {"exact", "fptas", "mrt"};
-  config.race = true;
   config.threads = threads;
   config.memo = true;
   config.memo_capacity = 16;
@@ -585,7 +584,26 @@ std::pair<std::string, StreamResult> record_session(const std::string& text,
   return {file.str(), live};
 }
 
-TEST(StreamRecordReplay, FourThreadRaceSessionReplaysBitExactOnOneThread) {
+/// Replays `loaded` on one thread and asserts the digest and every
+/// deterministic counter match the live session.
+void expect_replays_bit_exact(const traffic::ReplayFile& loaded, const StreamResult& live) {
+  const traffic::ReplayReport report = traffic::replay(loaded, 1);
+  EXPECT_TRUE(report.ok) << (report.mismatches.empty() ? "?" : report.mismatches[0]);
+  EXPECT_TRUE(report.mismatches.empty());
+  EXPECT_EQ(report.result.rolling_digest, live.rolling_digest);
+  EXPECT_EQ(report.result.instances, live.instances);
+  EXPECT_EQ(report.result.solved, live.solved);
+  EXPECT_EQ(report.result.failed, live.failed);
+  EXPECT_EQ(report.result.memo_hits, live.memo_hits);
+  EXPECT_EQ(report.result.memo_misses, live.memo_misses);
+  EXPECT_EQ(report.result.memo_evictions, live.memo_evictions);
+  EXPECT_EQ(report.result.cancelled_attempts, live.cancelled_attempts);
+  EXPECT_EQ(report.result.deadline_misses, live.deadline_misses);
+  EXPECT_EQ(report.result.shed, live.shed);
+  EXPECT_EQ(report.result.downshifted, live.downshifted);
+}
+
+TEST(StreamRecordReplay, FourThreadSessionReplaysBitExactOnOneThread) {
   const std::string text = recordable_stream();
   const auto [record_text, live] = record_session(text, recordable_config(4));
   ASSERT_GT(live.instances, 100u);
@@ -599,7 +617,6 @@ TEST(StreamRecordReplay, FourThreadRaceSessionReplaysBitExactOnOneThread) {
   EXPECT_EQ(loaded.config.window, 8u);
   EXPECT_EQ(loaded.config.max_inflight, 2u);
   EXPECT_EQ(loaded.config.variants, (std::vector<std::string>{"exact", "fptas", "mrt"}));
-  EXPECT_TRUE(loaded.config.race);
   EXPECT_TRUE(loaded.config.memo);
   EXPECT_EQ(loaded.config.memo_capacity, 16u);
   EXPECT_EQ(loaded.config.tie_break, TieBreak::kPortfolioOrder);
@@ -616,16 +633,37 @@ TEST(StreamRecordReplay, FourThreadRaceSessionReplaysBitExactOnOneThread) {
   EXPECT_EQ(loaded.source_preamble.front(), "# traffic-manifest v1");
 
   // The acceptance gate: replay on ONE thread, compare against the
-  // four-thread racing session.
-  const traffic::ReplayReport report = traffic::replay(loaded, 1);
-  EXPECT_TRUE(report.ok) << (report.mismatches.empty() ? "?" : report.mismatches[0]);
-  EXPECT_TRUE(report.mismatches.empty());
-  EXPECT_EQ(report.result.rolling_digest, live.rolling_digest);
-  EXPECT_EQ(report.result.memo_hits, live.memo_hits);
-  EXPECT_EQ(report.result.memo_misses, live.memo_misses);
-  EXPECT_EQ(report.result.memo_evictions, live.memo_evictions);
-  EXPECT_EQ(report.result.cancelled_attempts, live.cancelled_attempts);
-  EXPECT_EQ(report.result.deadline_misses, live.deadline_misses);
+  // four-thread session.
+  expect_replays_bit_exact(loaded, live);
+}
+
+TEST(StreamRecordReplay, LegacyRaceKeysAreValidatedThenIgnored) {
+  // Older recorders wrote `race=` / `race-width=` into the serve line. Those
+  // knobs only ever changed wall-clock, so a session carrying them must
+  // still load and replay bit-exact — and a malformed value must still be
+  // rejected.
+  const auto [record_text, live] = record_session(recordable_stream(), recordable_config(4));
+  ASSERT_GT(live.cancelled_attempts, 0u);
+  const std::size_t serve = record_text.find("# serve ");
+  ASSERT_NE(serve, std::string::npos);
+  const std::size_t eol = record_text.find('\n', serve);
+  ASSERT_NE(eol, std::string::npos);
+  EXPECT_EQ(record_text.substr(serve, eol - serve).find("race"), std::string::npos)
+      << "the recorder must no longer write race keys";
+
+  const auto with_serve_suffix = [&](const std::string& suffix) {
+    std::string text = record_text;
+    text.insert(eol, suffix);
+    return text;
+  };
+  std::istringstream legacy(with_serve_suffix(" race=1 race-width=2"));
+  const traffic::ReplayFile loaded = traffic::load_record(legacy);
+  expect_replays_bit_exact(loaded, live);
+
+  std::istringstream malformed(with_serve_suffix(" race=x"));
+  EXPECT_THROW(traffic::load_record(malformed), std::runtime_error);
+  std::istringstream malformed_width(with_serve_suffix(" race-width=2x"));
+  EXPECT_THROW(traffic::load_record(malformed_width), std::runtime_error);
 }
 
 TEST(StreamRecordReplay, RecordBodyIsTheCanonicalReadOrderStream) {
