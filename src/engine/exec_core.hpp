@@ -84,12 +84,16 @@ struct Percentiles {
 Percentiles percentiles_of(std::vector<double>& samples);
 
 /// Digest-keyed memo key of one instance under one solver configuration:
-/// FNV-1a over the instance's canonical text form — minus the instance
-/// name, which loaders auto-generate for unnamed input and which affects
-/// no algorithmic output — seeded with `config_key` (which must encode
-/// everything that changes the outcome — solver names, eps). Returns
-/// nullopt for instances that cannot be serialized (custom oracle types
-/// outside the io catalogue); those are never memoized.
+/// FNV-1a over a binary form of the fields the instance's canonical text
+/// carries (jobs::walk_content: arrival, class, memory axis, machines,
+/// every job's kind, parameters and name) — minus the instance name, which
+/// loaders auto-generate for unnamed input and which affects no algorithmic
+/// output — seeded with `config_key` (which must encode everything that
+/// changes the outcome — solver names, eps). Two instances get equal keys
+/// exactly when their canonical texts without the name line are equal (up
+/// to 64-bit hash collisions). Returns nullopt for instances that cannot be
+/// serialized (custom oracle types outside the io catalogue); those are
+/// never memoized.
 std::optional<std::uint64_t> memo_key(const jobs::Instance& instance,
                                       std::uint64_t config_key);
 

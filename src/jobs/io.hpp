@@ -15,6 +15,7 @@
 //   job table    <k> <t_1> ... <t_k>        [name]
 //   job linred   <machines> <a>             [name]
 //   job rigid    <time> <size> <penalty>    [name]
+//   job logspeed <t1>                       [name]
 //
 // Closed-form jobs serialize in O(1) space regardless of m — exactly the
 // encoding regime the paper's algorithms target. Table jobs are Theta(m)
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "src/jobs/instance.hpp"
 
@@ -46,12 +48,105 @@ namespace moldable::jobs {
 std::string to_text(const Instance& instance);
 void write_instance(std::ostream& os, const Instance& instance);
 
+/// Walks the content of `instance` — every line write_instance emits after
+/// the header and `name` lines, in order, under the same omit-at-default
+/// rules — into `sink`, which provides
+///
+///   key(std::string_view)     the directive keyword opening a line
+///   word(std::string_view)    a token (job kind, class, job name)
+///   real(double)              a floating-point field
+///   integer(std::int64_t)     a count or processor field
+///   end()                     the end of the line
+///
+/// write_instance prints through it, and the engine's memo key hashes
+/// through it, so the two cannot disagree on what an instance's content
+/// is. Returns the first job whose oracle type is outside the catalogue
+/// (the walk stops before its line), or nullptr once every line is walked.
+template <class Sink>
+const Job* walk_content(const Instance& instance, Sink& sink) {
+  // Metadata directives are omitted at their defaults, so files predating
+  // them keep byte-identical output. (Instance validates the setters:
+  // arrival is finite and >= 0, the class is a single token, capacity and
+  // footprints are finite and >= 0 with one footprint per job.)
+  if (instance.arrival() != 0) {
+    sink.key("arrival");
+    sink.real(instance.arrival());
+    sink.end();
+  }
+  if (!instance.sla_class().empty()) {
+    sink.key("class");
+    sink.word(instance.sla_class());
+    sink.end();
+  }
+  if (instance.memory_capacity() > 0) {
+    sink.key("memcap");
+    sink.real(instance.memory_capacity());
+    sink.end();
+  }
+  if (instance.has_job_memory()) {
+    sink.key("mem");
+    sink.integer(static_cast<std::int64_t>(instance.size()));
+    for (std::size_t j = 0; j < instance.size(); ++j) sink.real(instance.job_memory(j));
+    sink.end();
+  }
+  sink.key("machines");
+  sink.integer(instance.machines());
+  sink.end();
+  for (const Job& job : instance.jobs()) {
+    const ProcessingTimeFunction& f = job.oracle();
+    if (const auto* a = dynamic_cast<const AmdahlTime*>(&f)) {
+      sink.key("job");
+      sink.word("amdahl");
+      sink.real(a->t1());
+      sink.real(a->parallel_fraction());
+    } else if (const auto* p = dynamic_cast<const PowerLawTime*>(&f)) {
+      sink.key("job");
+      sink.word("powerlaw");
+      sink.real(p->t1());
+      sink.real(p->alpha());
+    } else if (const auto* c = dynamic_cast<const CommOverheadTime*>(&f)) {
+      sink.key("job");
+      sink.word("comm");
+      sink.real(c->t1());
+      sink.real(c->comm_cost());
+    } else if (const auto* t = dynamic_cast<const TableTime*>(&f)) {
+      sink.key("job");
+      sink.word("table");
+      sink.integer(static_cast<std::int64_t>(t->values().size()));
+      for (double v : t->values()) sink.real(v);
+    } else if (const auto* l = dynamic_cast<const LinearReductionTime*>(&f)) {
+      sink.key("job");
+      sink.word("linred");
+      sink.integer(l->machines());
+      sink.integer(l->a());
+    } else if (const auto* r = dynamic_cast<const RigidStepTime*>(&f)) {
+      sink.key("job");
+      sink.word("rigid");
+      sink.real(r->time());
+      sink.integer(r->size());
+      sink.real(r->penalty());
+    } else if (const auto* g = dynamic_cast<const LogSpeedupTime*>(&f)) {
+      sink.key("job");
+      sink.word("logspeed");
+      sink.real(g->t1());
+    } else {
+      return &job;
+    }
+    if (!job.name().empty()) sink.word(job.name());
+    sink.end();
+  }
+  return nullptr;
+}
+
 /// Parses the format; throws std::invalid_argument with a line-numbered
-/// message on any syntax or validation error.
+/// message on any syntax or validation error. Numbers are read exactly as
+/// `std::istream >>` reads them in the C locale (the reference parser in
+/// io_reference.hpp is the oracle for that), but a count field never
+/// allocates more than the values actually present on its line.
 Instance from_text(const std::string& text);
-/// Like from_text, but streaming; `default_name` (also on load_instance
-/// below) is used as the instance name when the text carries no `name`
-/// directive.
+/// Like from_text over the rest of `is` (read to its end, then parsed);
+/// `default_name` (also on load_instance below) is used as the instance
+/// name when the text carries no `name` directive.
 Instance read_instance(std::istream& is, std::string default_name = {});
 
 /// File convenience wrappers (throw std::runtime_error on I/O failure).
@@ -117,6 +212,11 @@ struct StreamRecord {
 /// `moldable-flush v1` line is a flush marker: it terminates the record
 /// being collected (like a header does) and is yielded as its own record
 /// with `flush == true`, see StreamRecord::flush.
+///
+/// Framing reads the istream one line at a time, so a socket or pipe source
+/// blocks exactly as long as the record being assembled needs; the line and
+/// record buffers are kept across calls, and the record text is tokenized in
+/// place.
 class InstanceStreamReader {
  public:
   explicit InstanceStreamReader(std::istream& is) : is_(&is) {}
@@ -135,6 +235,8 @@ class InstanceStreamReader {
 
  private:
   std::istream* is_;
+  std::string line_;            ///< getline buffer, reused
+  std::string text_;            ///< the record being assembled, reused
   std::string pending_header_;  ///< lookahead: the next record's header line
   std::size_t pending_line_ = 0;
   bool have_pending_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/util/prng.hpp"
@@ -43,7 +44,10 @@ CommOverheadTime::CommOverheadTime(double t1, double comm_cost)
   // raw(k) = t1/k + c(k-1) is minimized over the reals at k = sqrt(t1/c);
   // pick the better of the two neighbouring integers so the plateau starts
   // exactly at the discrete minimizer.
-  const double kreal = std::sqrt(t1 / comm_cost);
+  // Clamped at 2^62, the largest machine count the compact encoding
+  // admits, so an extreme t1 / c ratio (even an infinite one) stays within
+  // the range procs_t can hold.
+  const double kreal = std::min(std::sqrt(t1 / comm_cost), 0x1p62);
   procs_t lo = std::max<procs_t>(1, static_cast<procs_t>(std::floor(kreal)));
   auto raw = [&](procs_t k) {
     return t1_ / static_cast<double>(k) + c_ * static_cast<double>(k - 1);
@@ -66,6 +70,8 @@ LinearReductionTime::LinearReductionTime(std::int64_t machines, std::int64_t a)
     throw std::invalid_argument(
         "LinearReductionTime: a must be >= 2 (the reduction scales numbers so "
         "that strict work monotony, Eq. (1), holds)");
+  if (a > std::numeric_limits<std::int64_t>::max() / machines)
+    throw std::invalid_argument("LinearReductionTime: machines * a overflows");
 }
 
 double LinearReductionTime::at(procs_t k) const {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace moldable {
 
@@ -50,11 +51,15 @@ inline void check_invariant(bool cond, const char* msg) {
 /// every text surface — instance files may be CRLF, CLI specs may be
 /// space-padded; all trimming in the repo goes through here so the
 /// canonicalization cannot drift between parser and writer).
-inline std::string trim(const std::string& s) {
+/// trim_view is the allocation-free form for parsers that compare or copy
+/// the result at most once.
+inline std::string_view trim_view(std::string_view s) {
   const auto lo = s.find_first_not_of(" \t\r");
-  if (lo == std::string::npos) return {};
+  if (lo == std::string_view::npos) return {};
   const auto hi = s.find_last_not_of(" \t\r");
   return s.substr(lo, hi - lo + 1);
 }
+
+inline std::string trim(std::string_view s) { return std::string(trim_view(s)); }
 
 }  // namespace moldable

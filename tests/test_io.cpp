@@ -2,6 +2,7 @@
 // compact-encoding property (closed-form jobs serialize in O(1) space).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -424,6 +425,73 @@ TEST(Io, MemoryDirectivesAreValidated) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
   }
+}
+
+/// Peak resident set of this process so far, in MiB.
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+TEST(Io, HostileCountFieldsAreRejectedWithoutAllocating) {
+  // A count field used to size its value list before any value was read:
+  // 40 bytes of 'mem 200000000 1' allocated 1.6 GB, a table of 300 million
+  // entries 2.4 GB, and 'mem -1' died in vector::_M_default_append with no
+  // line number. Now the reader allocates only for values present on the
+  // line and rejects each record at the offending line.
+  const double rss_before = peak_rss_mib();
+  const auto expect_located = [](const std::string& text, const std::string& where) {
+    try {
+      from_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("instance parse error, " + where + ":", 0), 0u)
+          << e.what();
+    }
+  };
+  expect_located("moldable-instance v1\nmem 200000000 1\nmachines 4\njob amdahl 1 0.5\n",
+                 "line 2");
+  expect_located("moldable-instance v1\nmachines 300000000\njob table 300000000 1 1\n", "line 3");
+  expect_located("moldable-instance v1\nmem -1\nmachines 4\njob amdahl 1 0.5\n", "line 2");
+  expect_located("moldable-instance v1\nmem 18446744073709551615 1 2\nmachines 4\n", "line 2");
+  EXPECT_LT(peak_rss_mib() - rss_before, 50.0);
+
+  // Through the stream reader each is isolated and the stream goes on.
+  std::istringstream stream(
+      "moldable-instance v1\nmem 200000000 1\nmachines 4\njob amdahl 1 0.5\n"
+      "moldable-instance v1\nmachines 300000000\njob table 300000000 1 1\n"
+      "moldable-instance v1\nmachines 4\njob amdahl 1 0.5\n");
+  InstanceStreamReader reader(stream);
+  StreamRecord rec;
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_FALSE(rec.ok);
+  EXPECT_NE(rec.error.find("line 2: 'mem' values"), std::string::npos) << rec.error;
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_FALSE(rec.ok);
+  EXPECT_NE(rec.error.find("line 3: table: too few values"), std::string::npos) << rec.error;
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_TRUE(rec.ok) << rec.error;
+  EXPECT_LT(peak_rss_mib() - rss_before, 50.0);
+}
+
+TEST(Io, NumbersReadAsIstreamReadsThem) {
+  // The tokenizer keeps istream's accepted spellings and stopping points.
+  const auto job = [](const std::string& fields) {
+    return from_text("moldable-instance v1\nmachines 4\njob amdahl " + fields + "\n");
+  };
+  EXPECT_DOUBLE_EQ(job("+1 .5").job(0).t1(), 1.0);
+  EXPECT_DOUBLE_EQ(job("5. 0.5").job(0).t1(), 5.0);
+  EXPECT_DOUBLE_EQ(job("007 0.5").job(0).t1(), 7.0);
+  // A numeric prefix is read and the rest becomes the next token.
+  EXPECT_EQ(job("1 0.5xyz").job(0).name(), "xyz");
+  EXPECT_EQ(job("1 0x1p3").job(0).name(), "x1p3");  // reads 0, then the name
+  // Underflow reads as zero; overflow, hex, inf and nan are refused.
+  EXPECT_EQ(to_text(job("1 1e-400")), to_text(job("1 0")));
+  for (const char* bad : {"1e400 0.5", "1 1e", "inf 0.5", "nan 0.5", "1 -", "0x1p3 0.5"})
+    EXPECT_THROW(job(bad), std::invalid_argument) << bad;
+  // Vertical tab and form feed separate tokens, as isspace says.
+  EXPECT_DOUBLE_EQ(job("2\v0.5").job(0).t1(), 2.0);
 }
 
 TEST(Io, MemorySettersValidate) {

@@ -68,6 +68,11 @@ TEST(CommOverheadTime, PlateausAtMinimizer) {
 TEST(CommOverheadTime, ValidatesArguments) {
   EXPECT_THROW(CommOverheadTime(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(CommOverheadTime(1.0, 0.0), std::invalid_argument);
+  // A t1 / c ratio past any machine count (here infinite) plateaus at the
+  // compact encoding's 2^62 instead of overflowing procs_t.
+  const CommOverheadTime extreme(1e308, 1e-308);
+  EXPECT_GE(extreme.plateau(), procs_t{1} << 62);
+  EXPECT_TRUE(std::isfinite(extreme.at(1)));
 }
 
 TEST(LinearReductionTime, MatchesReductionFormula) {
@@ -77,6 +82,8 @@ TEST(LinearReductionTime, MatchesReductionFormula) {
   EXPECT_DOUBLE_EQ(f.at(4), 17.0);
   EXPECT_THROW(f.at(5), std::invalid_argument);  // k > m is out of contract
   EXPECT_THROW(LinearReductionTime(4, 1), std::invalid_argument);  // a >= 2
+  // m * a must fit in int64: the text format can carry any a.
+  EXPECT_THROW(LinearReductionTime(4, std::int64_t{1} << 62), std::invalid_argument);
 }
 
 TEST(LinearReductionTime, StrictWorkMonotony) {
