@@ -113,13 +113,7 @@ BoundedInstance::BoundedInstance(const std::vector<RoundedBigJob>& rounded) {
   // per-type unit profit times the multiplicity). Unit profit is recovered
   // from the type key; we kept sizes, so recompute from the rounded list.
   std::vector<double> type_profit(members_.size(), 0.0);
-  {
-    std::size_t t = 0;
-    for (const auto& [key, type] : key_to_type) {
-      (void)t;
-      type_profit[type] = key.second;
-    }
-  }
+  for (const auto& [key, type] : key_to_type) type_profit[type] = key.second;
   for (std::size_t i = 0; i < items_.size(); ++i)
     items_[i].profit = type_profit[containers_[i].type] *
                        static_cast<double>(containers_[i].mult);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "src/knapsack/geom_grid.hpp"
@@ -59,9 +59,9 @@ CompressibleSolution solve_compressible(const CompressibleInput& input) {
   };
 
   if (comp.empty()) {
-    // Degenerate case: a plain knapsack over the incompressible items.
-    const Solution s = solve_pairlist(incomp, static_cast<double>(beta_max));
-    return finish({}, s.chosen);
+    // Degenerate case: a plain knapsack over the incompressible items, one
+    // forward run at beta_max.
+    return finish({}, solve_pairlist(incomp, static_cast<double>(beta_max)).chosen);
   }
 
   // Line 1 of Algorithm 2: there must always be C - beta_max space for the
@@ -83,52 +83,44 @@ CompressibleSolution solve_compressible(const CompressibleInput& input) {
   betas.push_back(static_cast<double>(beta_max));  // the alpha = 0 split
   for (double a : A) betas.push_back(std::max(0.0, C - (1 - rho) * a));
 
-  // Line 5: all incompressible sub-problems in one pass (Section 4.2.4).
-  const std::vector<double> incomp_profit = profits_for_capacities(incomp, betas);
+  // Line 5: all incompressible sub-problems in one pass (Section 4.2.4). The
+  // same forward run later reconstructs the winning split's set, so it is
+  // cut at max(betas) and kept alive (arena frame) until the end.
+  const ParetoRun incomp_run(incomp, *std::max_element(betas.begin(), betas.end()));
 
   // Line 6: all compressible sub-problems. Two engines:
   //  * when the normalization grid is at least as fine as the integral
-  //    capacity range, normalization buys nothing — use the exact list;
+  //    capacity range, normalization buys nothing — use the exact list
+  //    (the grid stops growing at that size, since it is thrown away);
   //  * otherwise the normalized arena DP of Lemma 12.
   std::vector<double> comp_profit(A.size() + 1, 0.0);  // index 0 = alpha 0
   const double max_alpha = A.back();
 
-  std::unique_ptr<NormalizationGrid> grid;
-  std::unique_ptr<NormalizedPairList> norm_dp;
-  std::vector<ParetoPoint> exact_list;
-  bool exact_engine = false;
-  {
-    grid = std::make_unique<NormalizationGrid>(A, alpha_min, rho,
-                                               std::max<procs_t>(input.nbar, 1));
-    if (grid->size() >= static_cast<std::size_t>(input.capacity) + 2) {
-      exact_engine = true;  // grid finer than the integers: pointless
-    } else {
-      try {
-        norm_dp = std::make_unique<NormalizedPairList>(comp, *grid);
-      } catch (const std::invalid_argument&) {
-        exact_engine = true;  // arena blow-up: instance too dense for grid
-      }
+  const std::size_t exact_points = static_cast<std::size_t>(input.capacity) + 2;
+  const NormalizationGrid grid(A, alpha_min, rho, std::max<procs_t>(input.nbar, 1),
+                               exact_points);
+  std::optional<NormalizedPairList> norm_dp;
+  bool exact_engine = grid.size() >= exact_points;  // grid finer than the integers
+  if (!exact_engine) {
+    try {
+      norm_dp.emplace(comp, grid);
+    } catch (const std::invalid_argument&) {
+      exact_engine = true;  // arena blow-up: instance too dense for grid
     }
-    if (exact_engine) exact_list = exact_pareto(comp, max_alpha);
   }
-  for (std::size_t ai = 0; ai < A.size(); ++ai) {
-    comp_profit[ai + 1] = exact_engine
-                              ? [&] {
-                                  double best = 0;
-                                  for (const auto& p : exact_list) {
-                                    if (p.size > A[ai] * (1 + kRelTol)) break;
-                                    best = p.profit;
-                                  }
-                                  return best;
-                                }()
-                              : norm_dp->profit_at(A[ai]);
-  }
+  // The exact engine is one forward run up to max(A), shared by every split
+  // like incomp_run (declared after it, so its arena frame unwinds first).
+  std::optional<ParetoRun> comp_run;
+  if (exact_engine) comp_run.emplace(comp, max_alpha);
+  for (std::size_t ai = 0; ai < A.size(); ++ai)
+    comp_profit[ai + 1] =
+        exact_engine ? comp_run->profit_at(A[ai]) : norm_dp->profit_at(A[ai]);
 
   // Lines 7-9: combine and keep the best split.
   std::size_t best_split = 0;
   double best_total = -1;
   for (std::size_t k = 0; k < betas.size(); ++k) {
-    const double total = comp_profit[k] + incomp_profit[k];
+    const double total = comp_profit[k] + incomp_run.profit_at(betas[k]);
     if (total > best_total) {
       best_total = total;
       best_split = k;
@@ -139,11 +131,9 @@ CompressibleSolution solve_compressible(const CompressibleInput& input) {
   std::vector<std::size_t> comp_local;
   if (best_split > 0) {
     const double alpha = A[best_split - 1];
-    comp_local = exact_engine ? solve_pairlist(comp, alpha).chosen
-                              : norm_dp->reconstruct(alpha);
+    comp_local = exact_engine ? comp_run->solve(alpha).chosen : norm_dp->reconstruct(alpha);
   }
-  const Solution inc = solve_pairlist(incomp, betas[best_split]);
-  return finish(comp_local, inc.chosen);
+  return finish(comp_local, incomp_run.solve(betas[best_split]).chosen);
 }
 
 }  // namespace moldable::knapsack

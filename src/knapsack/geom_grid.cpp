@@ -51,7 +51,7 @@ double round_up_geom(double a, double L, double U, double x) {
 }
 
 NormalizationGrid::NormalizationGrid(std::vector<double> capacities, double alpha_min,
-                                     double rho, procs_t nbar) {
+                                     double rho, procs_t nbar, std::size_t max_points) {
   if (capacities.empty()) throw std::invalid_argument("NormalizationGrid: empty capacity set");
   if (!(rho > 0) || rho > 0.5) throw std::invalid_argument("NormalizationGrid: rho out of (0, 0.5]");
   if (nbar < 1) nbar = 1;
@@ -76,6 +76,7 @@ NormalizationGrid::NormalizationGrid(std::vector<double> capacities, double alph
         if (edge > points_.back()) {
           points_.push_back(edge);
           ++count;
+          if (points_.size() >= max_points) return;
         }
       }
     }

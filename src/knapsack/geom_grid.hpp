@@ -14,6 +14,7 @@
 // nbar * U_i, which compression absorbs (Eq. (14)).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -38,8 +39,13 @@ class NormalizationGrid {
   /// `nbar` is the bound on normalized additions per solution; callers that
   /// reconstruct solutions by divide-and-conquer must double it (each
   /// combine step adds one extra normalization).
+  ///
+  /// Construction stops as soon as size() reaches `max_points`: a caller
+  /// that only wants the grid below some size learns size() >= max_points
+  /// without paying for the rest. Such a grid is incomplete — use it for
+  /// that size test only.
   NormalizationGrid(std::vector<double> capacities, double alpha_min, double rho,
-                    procs_t nbar);
+                    procs_t nbar, std::size_t max_points = SIZE_MAX);
 
   /// Largest grid point <= s, or nullopt when s exceeds the largest
   /// capacity's interval (the pair is infeasible for every capacity in A).

@@ -12,9 +12,10 @@ namespace {
 
 // The Pareto sweep runs entirely on arena scratch: the frontier lives in a
 // ping-pong pair of buffers that swap roles every merge step, instead of
-// the pre-optimization allocate-and-return std::vector per item. Results
-// are copied out to heap vectors only at the public API boundary, so no
-// returned object aliases arena memory. Bitwise identity with the retained
+// the pre-optimization allocate-and-return std::vector per item. A
+// ParetoRun keeps its frontiers on the arena for its own lifetime; every
+// returned object (profits, chosen sets, exact_pareto's list) is a heap
+// copy, so none aliases arena memory. Bitwise identity with the retained
 // reference (knapsack/reference.cpp) is property-tested: the merge below
 // applies the exact same compare/tie rules, only with the running "back of
 // the output" carried in registers and the capacity cut hoisted out of the
@@ -116,69 +117,73 @@ std::size_t merge_step(const ParetoPoint* __restrict__ base, std::size_t n,
   return m;
 }
 
-/// Pareto frontier of items[lo, hi) built on arena scratch; the result (in
-/// `cur`) is valid until the caller's frame rewinds.
-void pareto_range(const std::vector<Item>& items, std::size_t lo, std::size_t hi,
-                  double capacity, util::ScratchArena& arena, ArenaList& cur,
-                  ArenaList& next) {
+using Frontier = ParetoRun::Frontier;
+using Spine = ParetoRun::Spine;
+
+/// Forward run over items[lo, hi) cut at `capacity`, keeping the frontiers
+/// the reconstruction below [lo, hi) will ask for (see ParetoRun::Spine).
+/// A kept buffer simply leaves the ping-pong pair — the next merge step
+/// writes into a fresh one — so keeping costs no copy. Everything lives on
+/// `arena` until the caller's frame rewinds.
+Spine forward_run(const std::vector<Item>& items, std::size_t lo, std::size_t hi,
+                  double capacity, util::ScratchArena& arena) {
+  std::size_t ends[64];  // e_0 = hi > e_1 > ... > lo
+  std::size_t count = 0;
+  for (std::size_t e = hi;; e = lo + (e - lo) / 2) {
+    ends[count++] = e;
+    if (e - lo < 2) break;
+  }
+  Frontier* at = arena.alloc<Frontier>(count);
+
   const double cap_tol = capacity * (1 + kRelTol);
+  ArenaList cur, next;
   cur.ensure(arena, 1);
   cur.data[0] = {0.0, 0.0};
   cur.len = 1;
-  for (std::size_t i = lo; i < hi; ++i) {
+  std::size_t k = count - 1;  // the next frontier to keep has the least end
+  for (std::size_t i = lo;; ++i) {
+    const bool keep = i == ends[k];
+    if (keep) {
+      at[k] = {cur.data, cur.len};
+      if (k-- == 0) break;
+    }
     next.ensure(arena, 2 * cur.len + 1);
     next.len = merge_step(cur.data, cur.len, items[i], cap_tol, next.data);
     std::swap(cur, next);
+    if (keep) next = {};  // the kept buffer must not be overwritten
   }
+  return {capacity, at};
 }
 
-double lookup(const ParetoPoint* list, std::size_t len, double capacity) {
-  // Largest size <= capacity; lists start at (0,0) so a hit always exists
-  // for capacity >= 0.
-  double best = 0;
+/// Number of points of `f` with size <= capacity * (1 + kRelTol): by the
+/// prefix property, exactly the frontier a run cut at `capacity` builds.
+std::size_t prefix_len(const Frontier& f, double capacity) {
   const ParetoPoint* it =
-      std::upper_bound(list, list + len, capacity * (1 + kRelTol),
+      std::upper_bound(f.data, f.data + f.len, capacity * (1 + kRelTol),
                        [](double c, const ParetoPoint& p) { return c < p.size; });
-  if (it != list) best = std::prev(it)->profit;
-  return best;
+  return static_cast<std::size_t>(it - f.data);
 }
-
-}  // namespace
-
-std::vector<ParetoPoint> exact_pareto(const std::vector<Item>& items, double capacity) {
-  util::ScratchArena& arena = util::scratch_arena();
-  util::ScratchArena::Frame frame(arena);
-  ArenaList cur, next;
-  pareto_range(items, 0, items.size(), capacity, arena, cur, next);
-  return std::vector<ParetoPoint>(cur.data, cur.data + cur.len);
-}
-
-std::vector<double> profits_for_capacities(const std::vector<Item>& items,
-                                           const std::vector<double>& capacities) {
-  double maxc = 0;
-  for (double c : capacities) maxc = std::max(maxc, c);
-  util::ScratchArena& arena = util::scratch_arena();
-  util::ScratchArena::Frame frame(arena);
-  ArenaList list, tmp;
-  pareto_range(items, 0, items.size(), maxc, arena, list, tmp);
-  std::vector<double> out;
-  out.reserve(capacities.size());
-  for (double c : capacities) out.push_back(lookup(list.data, list.len, c));
-  return out;
-}
-
-namespace {
 
 /// Divide-and-conquer reconstruction: find the best split of `capacity`
 /// between the two halves from their Pareto lists, then recurse. Profit is
-/// identical to the full DP; memory stays O(list length). The halves are
-/// (lo, mid, hi) index ranges into the original items — no per-level item
-/// copies — and both half-frontiers live under one arena frame that is
-/// rewound before recursing, so the transient footprint is the deepest
-/// path, not the whole tree.
+/// identical to the full DP. `run` is a forward run from lo whose at[k] is
+/// the frontier of items[lo, hi), so at[k + 1] is the left half's; only
+/// the right half runs fresh, and its spine serves the right child.
+///
+/// Why the left snapshot may stand in for a fresh run at `capacity`: the
+/// sweep below stops at the first left point larger than `capacity` (not
+/// even the empty right point fits beside it), so it reads only points of
+/// size <= capacity. Those are the same in every run whose cut
+/// run.capacity * (1 + kRelTol) is at least `capacity` (header's prefix
+/// property), and `run`'s always is: a left child's capacity is a left
+/// point that fit, so <= its parent's; a right child's is a right point
+/// that fit, so within the fresh right run's cut.
+///
+/// One frame holds this node's run until both children return: O(L log n)
+/// live scratch per level of the recursion path.
 void reconstruct_rec(const std::vector<Item>& items, std::size_t lo, std::size_t hi,
-                     double capacity, std::vector<std::size_t>& chosen,
-                     util::ScratchArena& arena) {
+                     double capacity, const Spine& run, std::size_t k,
+                     std::vector<std::size_t>& chosen, util::ScratchArena& arena) {
   if (lo >= hi || capacity < 0) return;
   if (hi - lo == 1) {
     const Item& it = items[lo];
@@ -187,55 +192,83 @@ void reconstruct_rec(const std::vector<Item>& items, std::size_t lo, std::size_t
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;
-  double best_s1 = 0, best_s2 = 0;
-  {
-    util::ScratchArena::Frame frame(arena);
-    ArenaList l1, l2, tmp;
-    pareto_range(items, lo, mid, capacity, arena, l1, tmp);
-    pareto_range(items, mid, hi, capacity, arena, l2, tmp);
+  util::ScratchArena::Frame frame(arena);
+  const Spine right = forward_run(items, mid, hi, capacity, arena);
+  const Frontier& l1 = run.at[k + 1];
+  const Frontier& l2 = right.at[0];
 
-    // Two-pointer sweep: as the left size grows, the best right point can
-    // only move left. Both lists are ascending in size and profit.
-    double best = -1;
-    std::size_t j = l2.len;  // exclusive upper bound into l2
-    for (std::size_t i = 0; i < l1.len; ++i) {
-      const ParetoPoint& p1 = l1.data[i];
-      const double room = capacity - p1.size;
-      while (j > 0 && l2.data[j - 1].size > room * (1 + kRelTol)) --j;
-      if (j == 0) break;
-      const double cand = p1.profit + l2.data[j - 1].profit;
-      if (cand > best) {
-        best = cand;
-        best_s1 = p1.size;
-        best_s2 = l2.data[j - 1].size;
-      }
+  // Two-pointer sweep: as the left size grows, the best right point can
+  // only move left. Both lists are ascending in size and profit.
+  double best = -1;
+  double best_s1 = 0, best_s2 = 0;
+  std::size_t j = l2.len;  // exclusive upper bound into l2
+  for (std::size_t i = 0; i < l1.len; ++i) {
+    const ParetoPoint& p1 = l1.data[i];
+    const double room = capacity - p1.size;
+    while (j > 0 && l2.data[j - 1].size > room * (1 + kRelTol)) --j;
+    if (j == 0) break;
+    const double cand = p1.profit + l2.data[j - 1].profit;
+    if (cand > best) {
+      best = cand;
+      best_s1 = p1.size;
+      best_s2 = l2.data[j - 1].size;
     }
-    check_invariant(best >= 0, "pairlist reconstruction: no feasible split");
   }
-  reconstruct_rec(items, lo, mid, best_s1, chosen, arena);
-  reconstruct_rec(items, mid, hi, best_s2, chosen, arena);
+  check_invariant(best >= 0, "pairlist reconstruction: no feasible split");
+  reconstruct_rec(items, lo, mid, best_s1, run, k + 1, chosen, arena);
+  reconstruct_rec(items, mid, hi, best_s2, right, 0, chosen, arena);
 }
 
 }  // namespace
 
-Solution solve_pairlist(const std::vector<Item>& items, double capacity) {
-  if (capacity < 0) throw std::invalid_argument("solve_pairlist: negative capacity");
-  util::ScratchArena& arena = util::scratch_arena();
+ParetoRun::ParetoRun(const std::vector<Item>& items, double capacity)
+    : items_(items),
+      arena_(util::scratch_arena()),
+      frame_(arena_),
+      spine_(forward_run(items, 0, items.size(), capacity, arena_)) {}
+
+double ParetoRun::profit_at(double c) const {
+  // Lists start at (0, 0), so a hit always exists for c >= 0.
+  const std::size_t len = prefix_len(spine_.at[0], c);
+  return len ? spine_.at[0].data[len - 1].profit : 0.0;
+}
+
+Solution ParetoRun::solve(double c) const {
+  if (c < 0) throw std::invalid_argument("ParetoRun::solve: negative capacity");
+  if (c > spine_.capacity)
+    throw std::invalid_argument("ParetoRun::solve: capacity exceeds the run's");
   Solution sol;
-  {
-    util::ScratchArena::Frame frame(arena);
-    ArenaList list, tmp;
-    pareto_range(items, 0, items.size(), capacity, arena, list, tmp);
-    sol.profit = list.data[list.len - 1].profit;
-  }
-  reconstruct_rec(items, 0, items.size(), capacity, sol.chosen, arena);
+  sol.profit = profit_at(c);  // the forward run's optimum at c
+  reconstruct_rec(items_, 0, items_.size(), c, spine_, 0, sol.chosen, arena_);
   // The recursion re-derives the same optimum; double-check the arithmetic.
   double check = 0;
-  for (std::size_t i : sol.chosen) check += items[i].profit;
+  for (std::size_t i : sol.chosen) check += items_[i].profit;
   check_invariant(check >= sol.profit * (1 - kRelTol) - kRelTol,
                   "pairlist reconstruction lost profit");
   sol.profit = check;
   return sol;
+}
+
+std::vector<ParetoPoint> exact_pareto(const std::vector<Item>& items, double capacity) {
+  util::ScratchArena& arena = util::scratch_arena();
+  util::ScratchArena::Frame frame(arena);
+  const Frontier f = forward_run(items, 0, items.size(), capacity, arena).at[0];
+  return std::vector<ParetoPoint>(f.data, f.data + f.len);
+}
+
+std::vector<double> profits_for_capacities(const std::vector<Item>& items,
+                                           const std::vector<double>& capacities) {
+  double maxc = 0;
+  for (double c : capacities) maxc = std::max(maxc, c);
+  const ParetoRun run(items, maxc);
+  std::vector<double> out;
+  out.reserve(capacities.size());
+  for (double c : capacities) out.push_back(run.profit_at(c));
+  return out;
+}
+
+Solution solve_pairlist(const std::vector<Item>& items, double capacity) {
+  return ParetoRun(items, capacity).solve(capacity);
 }
 
 // ------------------------------------------------------- normalized arena ---

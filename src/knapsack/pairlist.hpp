@@ -2,17 +2,26 @@
 // used by Algorithm 2:
 //
 //  * multi-capacity one-pass solving (Section 4.2.4): one Pareto sweep up to
-//    max(B) answers every capacity in B by a lookup;
+//    max(B) answers every capacity in B by a lookup — and, through
+//    ParetoRun, reconstructs the chosen set for any of them as well;
 //  * adaptive normalization (Lemma 12): pair sizes snap down to the
 //    NormalizationGrid on creation, keeping the list O(nbar * |A|) long
 //    independent of the numeric capacity.
 //
 // Reconstruction strategies:
-//  * exact lists use divide-and-conquer (Hirschberg-style): O(n*C*log n)
-//    time, O(C) transient memory, no stored decisions; the recursion works
-//    on (lo, hi) index ranges into the original item vector — no per-level
-//    half copies — and every transient frontier lives on the thread's
-//    ScratchArena (ping-pong merge buffers, rewound per recursion level);
+//  * exact lists use divide-and-conquer (Hirschberg-style) with no stored
+//    decisions. It rests on a prefix property: the frontier of a forward run
+//    cut at capacity c is, bit for bit, the prefix (size <= c * (1 +
+//    kRelTol)) of the same run cut at any larger capacity, because the
+//    merge's dominance and same-size rules only ever look at smaller sizes.
+//    So a forward run over items[lo, hi) keeps snapshots of its frontier at
+//    the left-spine midpoints of the recursion tree below [lo, hi); a node
+//    takes its left half-frontier as a prefix of the snapshot its parent's
+//    run already holds and runs only its right half fresh. Each node does
+//    half the merges of a from-scratch split, and the snapshots cost
+//    O(L log n) per run, O(L log^2 n) along the deepest recursion path
+//    (L = frontier length) — never n * L. Everything transient lives on
+//    the thread's ScratchArena in LIFO frames;
 //  * normalized lists use an arena of parent pointers: the sequential
 //    snapping semantics of the paper are preserved exactly, at the cost of
 //    memory proportional to the number of undominated pairs ever created
@@ -29,6 +38,7 @@
 
 #include "src/knapsack/geom_grid.hpp"
 #include "src/knapsack/item.hpp"
+#include "src/util/arena.hpp"
 
 namespace moldable::knapsack {
 
@@ -49,8 +59,57 @@ std::vector<double> profits_for_capacities(const std::vector<Item>& items,
                                            const std::vector<double>& capacities);
 
 /// Exact solve with divide-and-conquer reconstruction. Equivalent profit to
-/// solve_dense but O(C) memory.
+/// solve_dense but O(L log^2 n) memory. Shorthand for
+/// ParetoRun(items, capacity).solve(capacity).
 Solution solve_pairlist(const std::vector<Item>& items, double capacity);
+
+/// One exact forward Pareto run over `items` up to `capacity`, kept so that
+/// every capacity c <= capacity is answered from it: profit_at(c) by a
+/// lookup, solve(c) by a reconstruction that reuses the run's snapshots.
+/// Both are bitwise identical to a fresh run cut at c (the header's prefix
+/// property). Algorithm 2 builds one per knapsack and queries every split.
+///
+/// All storage lives on the calling thread's current scratch arena, inside
+/// a frame the destructor rewinds: no heap allocation, but a run must be
+/// destroyed in LIFO order with the arena's other frames (nested kernels
+/// called while it lives are fine) and used on the constructing thread.
+/// `items` must outlive the run.
+class ParetoRun {
+ public:
+  ParetoRun(const std::vector<Item>& items, double capacity);
+  ParetoRun(const ParetoRun&) = delete;
+  ParetoRun& operator=(const ParetoRun&) = delete;
+
+  /// Best profit among frontier points with size <= c * (1 + kRelTol).
+  double profit_at(double c) const;
+
+  /// Chosen set for capacity c; profit is the chosen items' sum. Throws
+  /// std::invalid_argument unless 0 <= c <= the run's capacity.
+  Solution solve(double c) const;
+
+  // The run's storage layout, shared with the reconstruction in
+  // pairlist.cpp.
+
+  /// A frontier kept by a run (arena memory).
+  struct Frontier {
+    const ParetoPoint* data = nullptr;
+    std::size_t len = 0;
+  };
+  /// Frontiers of one forward run over items[lo, hi) cut at `capacity`:
+  /// at[0] covers items[lo, hi), and at[k + 1] covers items[lo, e_{k+1})
+  /// with e_0 = hi, e_{k+1} = lo + (e_k - lo) / 2 — the left spine of the
+  /// reconstruction tree below [lo, hi).
+  struct Spine {
+    double capacity = 0;
+    const Frontier* at = nullptr;
+  };
+
+ private:
+  const std::vector<Item>& items_;
+  util::ScratchArena& arena_;
+  util::ScratchArena::Frame frame_;
+  Spine spine_;
+};
 
 /// Normalized multi-capacity solver (the compressible side of Algorithm 2).
 /// Runs the pair-list DP with sizes snapped to `grid` on creation; answers

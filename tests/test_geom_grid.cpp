@@ -2,7 +2,10 @@
 // normalization grid (Lemma 12 / Figure 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "src/knapsack/geom_grid.hpp"
 
@@ -112,6 +115,29 @@ TEST(NormalizationGrid, Lemma12IntervalCounts) {
     EXPECT_LE(c, static_cast<std::size_t>((1 - rho) * nbar) + 2);
   // Total size O(nbar * |A|).
   EXPECT_LE(grid.size(), (static_cast<std::size_t>(nbar) + 2) * (caps.size() + 2));
+}
+
+TEST(NormalizationGrid, StopsGrowingAtMaxPoints) {
+  // Algorithm 2 only asks whether the grid reaches capacity + 2 points. A
+  // grid capped at max_points must answer that exactly like the full grid,
+  // and must be the full grid whenever it stays below the cap.
+  const double rho = 0.1;
+  const std::vector<double> caps = geom_set(50.0 / (1 - rho), 1e5, 1.0 / (1 - rho));
+  const NormalizationGrid full(caps, 50.0, rho, 20);
+  ASSERT_GT(full.size(), 40u);
+  for (std::size_t limit : {std::size_t{2}, std::size_t{17}, full.size() - 1, full.size(),
+                            full.size() + 1, SIZE_MAX}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    const NormalizationGrid capped(caps, 50.0, rho, 20, limit);
+    EXPECT_EQ(capped.size() >= limit, full.size() >= limit);
+    if (capped.size() < limit) {
+      EXPECT_EQ(capped.points(), full.points());
+    } else {
+      EXPECT_EQ(capped.size(), limit);
+      EXPECT_TRUE(std::equal(capped.points().begin(), capped.points().end(),
+                             full.points().begin()));
+    }
+  }
 }
 
 TEST(NormalizationGrid, ValidatesArguments) {
