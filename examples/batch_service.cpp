@@ -19,15 +19,20 @@
 // portfolio, record/replay — is identical over stdin, socket, and watch-dir
 // input.
 //
-// Two solve modes (batch and serve alike):
-//   * single solver (--algorithm A, default auto)  -> engine::BatchSolver;
-//   * portfolio     (--portfolio a,b,c)            -> engine::PortfolioSolver,
-//     running the named variants per instance in order and keeping the best
-//     valid schedule (per-variant win counts and quality gaps in the stats;
-//     --tie-break order makes the win table reproducible under exact ties).
-//     A variant completing at the instance's certified lower bound decides
-//     it, and the later variants are skipped (the deterministic
-//     early-cancel count every portfolio run prints).
+// One solve engine, engine::PortfolioSolver, in two spellings (batch and
+// serve alike):
+//   * single solver (--algorithm A, default auto) is the one-variant
+//     portfolio: one lane per instance, digested in the single-solver
+//     layout, so --portfolio A is the same run;
+//   * portfolio (--portfolio a,b,c) runs the named variants per instance in
+//     order and keeps the best valid schedule (per-variant win counts and
+//     quality gaps in the stats; --tie-break order makes the win table
+//     reproducible under exact ties). A variant completing at the
+//     instance's certified lower bound decides it, and the later variants
+//     are skipped (the deterministic early-cancel count every portfolio run
+//     prints).
+// Either way every schedule is checked with sched::validate before it is
+// served; one that fails counts as that instance's failure.
 //
 // --memo turns on the execution core's digest-keyed memoization: duplicate
 // instances (within a batch, or across serve windows) reuse the prior
@@ -91,7 +96,6 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/engine/stream_solver.hpp"
 #include "src/jobs/generators.hpp"
@@ -104,9 +108,6 @@
 namespace {
 
 using moldable::engine::AlgorithmRegistry;
-using moldable::engine::BatchConfig;
-using moldable::engine::BatchResult;
-using moldable::engine::BatchSolver;
 using moldable::engine::PortfolioConfig;
 using moldable::engine::PortfolioResult;
 using moldable::engine::PortfolioSolver;
@@ -367,13 +368,13 @@ Options parse(int argc, char** argv) {
         std::cerr << "--deadline needs CLASS=SECONDS, got '" << spec << "'\n";
         std::exit(2);
       }
-      // A NaN deadline would make every lateness comparison silently false
-      // and an infinite or negative one is operator error either way: only
-      // finite, non-negative budgets are meaningful.
+      // A NaN deadline would make every lateness comparison silently false,
+      // and an infinite, zero or negative one is operator error either way:
+      // the same range the engine enforces.
       const double seconds = parse_real(arg, spec.substr(eq + 1));
-      if (!std::isfinite(seconds) || seconds < 0) {
-        std::cerr << "--deadline SECONDS must be finite and non-negative, got '"
-                  << spec << "'\n";
+      if (!std::isfinite(seconds) || !(seconds > 0)) {
+        std::cerr << "--deadline SECONDS must be finite and > 0, got '" << spec
+                  << "'\n";
         std::exit(2);
       }
       opt.deadlines[spec.substr(0, eq)] = seconds;
@@ -433,23 +434,6 @@ std::vector<moldable::jobs::Instance> load_input_batch(const std::string& dir) {
   return load.instances;
 }
 
-/// Re-solves on 1 thread and compares digests; 0 on match, 1 on violation.
-/// (Memoization is deliberately NOT carried into the reference run: an
-/// empty-store re-solve also re-checks that memo served the right outcomes.)
-template <typename Solver, typename Config>
-int check_determinism(const Solver& solver,
-                      const std::vector<moldable::jobs::Instance>& batch, Config config,
-                      std::uint64_t parallel_digest, unsigned threads) {
-  config.threads = 1;
-  if (solver.solve(batch, config).digest() != parallel_digest) {
-    std::cerr << "DETERMINISM VIOLATION: threads=" << threads
-              << " digest differs from threads=1\n";
-    return 1;
-  }
-  std::cout << "determinism: OK (digest matches single-threaded reference)\n";
-  return 0;
-}
-
 std::string fmt_digest(std::uint64_t digest) {
   char hex[32];
   std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(digest));
@@ -488,55 +472,19 @@ void print_early_cancel_line(std::size_t cancelled) {
   std::cout << "early-cancel: " << cancelled << " attempt(s) (deterministic)\n";
 }
 
-int run_single(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
-  BatchConfig config;
-  config.algorithm = opt.algorithm;
-  config.eps = opt.eps;
-  config.threads = opt.threads;
-
-  const BatchSolver solver;
-  moldable::engine::exec::MemoStore<moldable::engine::InstanceOutcome> memo(
-      opt.memo_capacity);
-  const BatchResult result = solver.solve(batch, config, opt.memo ? &memo : nullptr);
-
-  moldable::util::Table table({"algorithm", "solved", "failed", "ratio-mean", "ratio-p50",
-                               "ratio-p90", "ratio-p99", "ratio-max", "queue-p50-ms",
-                               "queue-p99-ms", "compute-p50-ms", "compute-p90-ms",
-                               "compute-p99-ms", "compute-max-ms"});
-  for (const auto& s : result.per_algorithm) {
-    table.add_row({s.algorithm, std::to_string(s.count), std::to_string(s.failed),
-                   moldable::util::fmt(s.ratio_mean), moldable::util::fmt(s.ratio_p50),
-                   moldable::util::fmt(s.ratio_p90), moldable::util::fmt(s.ratio_p99),
-                   moldable::util::fmt(s.ratio_max),
-                   moldable::util::fmt(s.queue_p50 * 1e3),
-                   moldable::util::fmt(s.queue_p99 * 1e3),
-                   moldable::util::fmt(s.wall_p50 * 1e3),
-                   moldable::util::fmt(s.wall_p90 * 1e3),
-                   moldable::util::fmt(s.wall_p99 * 1e3),
-                   moldable::util::fmt(s.wall_max * 1e3)});
-  }
-  if (opt.csv)
-    table.print_csv(std::cout);
-  else
-    table.print(std::cout);
-
-  if (opt.memo)
-    print_memo_line(result.memo_hits, result.memo_misses, memo.evictions(),
-                    opt.memo_capacity);
-  print_digest_line(result.solved, result.failed, result.wall_seconds, opt.threads,
-                    result.digest());
-  for (const auto& o : result.outcomes)
-    if (!o.ok) std::cerr << "  instance " << o.index << " failed: " << o.error << "\n";
-
-  if (opt.verify &&
-      check_determinism(solver, batch, config, result.digest(), opt.threads) != 0)
-    return 1;
-  return result.failed == 0 ? 0 : 1;
+/// The stats-table label of one row: the variant, with the algorithm it
+/// resolved to when that differs (`auto:fptas`).
+std::string row_label(const moldable::engine::VariantStats& s) {
+  return s.algorithm == s.variant ? s.variant : s.variant + ":" + s.algorithm;
 }
 
-int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
+int run_batch(const Options& opt, const std::vector<moldable::jobs::Instance>& batch) {
+  // Single-solver mode is the one-variant portfolio: `--algorithm X` and
+  // `--portfolio X` are the same run.
   PortfolioConfig config;
-  config.variants = moldable::engine::parse_portfolio_spec(opt.portfolio);
+  config.variants = opt.portfolio.empty()
+                        ? std::vector<std::string>{opt.algorithm}
+                        : moldable::engine::parse_portfolio_spec(opt.portfolio);
   config.eps = opt.eps;
   config.threads = opt.threads;
   config.tie_break = opt.tie_break;
@@ -549,17 +497,20 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
   // `cancelled` keeps the report honest: attempts skipped by the
   // early-cancel rule are neither losses nor failures and must not be
   // silently folded into either.
-  moldable::util::Table table({"variant", "wins", "solved", "failed", "cancelled",
-                               "gap-mean", "gap-max", "compute-p50-ms",
-                               "compute-p90-ms", "compute-p99-ms",
-                               "compute-total-s"});
+  moldable::util::Table table(
+      {"algorithm", "wins", "solved", "failed", "cancelled", "ratio-mean", "ratio-p50",
+       "ratio-p90", "ratio-p99", "ratio-max", "gap-mean", "gap-max", "queue-p50-ms",
+       "queue-p99-ms", "compute-p50-ms", "compute-p90-ms", "compute-p99-ms",
+       "compute-max-ms", "compute-total-s"});
+  const auto ms = [](double seconds) { return moldable::util::fmt(seconds * 1e3); };
   for (const auto& s : result.per_variant) {
-    table.add_row({s.algorithm, std::to_string(s.wins), std::to_string(s.solved),
+    table.add_row({row_label(s), std::to_string(s.wins), std::to_string(s.solved),
                    std::to_string(s.failed), std::to_string(s.cancelled),
-                   moldable::util::fmt(s.gap_mean),
-                   moldable::util::fmt(s.gap_max), moldable::util::fmt(s.wall_p50 * 1e3),
-                   moldable::util::fmt(s.wall_p90 * 1e3),
-                   moldable::util::fmt(s.wall_p99 * 1e3),
+                   moldable::util::fmt(s.ratio_mean), moldable::util::fmt(s.ratio.p50),
+                   moldable::util::fmt(s.ratio.p90), moldable::util::fmt(s.ratio.p99),
+                   moldable::util::fmt(s.ratio.max), moldable::util::fmt(s.gap_mean),
+                   moldable::util::fmt(s.gap_max), ms(s.queue.p50), ms(s.queue.p99),
+                   ms(s.wall.p50), ms(s.wall.p90), ms(s.wall.p99), ms(s.wall.max),
                    moldable::util::fmt(s.wall_total, 3)});
   }
   if (opt.csv)
@@ -570,11 +521,10 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
   // Prose trailer, like the batch/digest lines below: CSV consumers already
   // have to stop at the first non-CSV line, and dropping the queue stats in
   // --csv mode would lose data the flag exists to export.
-  std::cout << "queue: p50 " << moldable::util::fmt(result.queue_p50 * 1e3)
-            << " ms, p99 " << moldable::util::fmt(result.queue_p99 * 1e3)
-            << " ms, max " << moldable::util::fmt(result.queue_max * 1e3)
+  std::cout << "queue: p50 " << ms(result.queue.p50) << " ms, p99 " << ms(result.queue.p99)
+            << " ms, max " << ms(result.queue.max)
             << " ms (shard pickup, shared by all variants of an instance)\n";
-  print_early_cancel_line(result.cancelled_attempts);
+  if (!opt.portfolio.empty()) print_early_cancel_line(result.cancelled_attempts);
   if (opt.memo)
     print_memo_line(result.memo_hits, result.memo_misses, memo.evictions(),
                     opt.memo_capacity);
@@ -587,9 +537,19 @@ int run_portfolio(const Options& opt, const std::vector<moldable::jobs::Instance
       std::cerr << "    " << a.algorithm << ": " << a.error << "\n";
   }
 
-  if (opt.verify &&
-      check_determinism(solver, batch, config, result.digest(), opt.threads) != 0)
-    return 1;
+  if (opt.verify) {
+    // Re-solve on 1 thread and compare digests. Memoization is deliberately
+    // NOT carried into the reference run: an empty-store re-solve also
+    // re-checks that memo served the right outcomes.
+    PortfolioConfig reference = config;
+    reference.threads = 1;
+    if (solver.solve(batch, reference).digest() != result.digest()) {
+      std::cerr << "DETERMINISM VIOLATION: threads=" << opt.threads
+                << " digest differs from threads=1\n";
+      return 1;
+    }
+    std::cout << "determinism: OK (digest matches single-threaded reference)\n";
+  }
   return result.failed == 0 ? 0 : 1;
 }
 
@@ -951,7 +911,7 @@ int main(int argc, char** argv) {
                    "when --input is given (the batch comes from the files)\n";
     const std::vector<moldable::jobs::Instance> batch =
         opt.input.empty() ? make_synthetic_batch(opt) : load_input_batch(opt.input);
-    return opt.portfolio.empty() ? run_single(opt, batch) : run_portfolio(opt, batch);
+    return run_batch(opt, batch);
   } catch (const std::exception& e) {
     std::cerr << "batch_service: " << e.what() << "\n";
     return 2;

@@ -1,8 +1,8 @@
-// The shared execution core under both batch engines (and the stream layer
-// on top of them).
+// The execution core under the batch engine (PortfolioSolver) and the
+// stream layer on top of it.
 //
-// BatchSolver and PortfolioSolver are policies — "run one solver" vs "try a
-// variant list" — over one identical execution skeleton:
+// The engine is a policy — "try a variant list per instance; one variant
+// is the single-solver mode" — over this execution skeleton:
 //
 //   * per-index outcome slots, sized up front, each worker writing only its
 //     own slot (what makes every algorithmic output a pure function of
@@ -15,7 +15,7 @@
 //   * an opt-in digest-keyed memoization plan that serves duplicate
 //     instances from a prior outcome instead of re-solving them.
 //
-// This header states those mechanics once; the solvers keep only their
+// This header states those mechanics once; the engine keeps only its
 // policy code. Everything here is deterministic except the clock reads, and
 // the memo plan is computed serially before dispatch so hit/miss counts are
 // reproducible across thread counts.
@@ -131,7 +131,7 @@ struct MemoPlan {
 /// deliberately recency-neutral: planning must not perturb the store.
 ///
 /// Callers that both read hits and insert fresh outcomes in one finalize
-/// must perform ALL reads before the first insert (see BatchSolver's
+/// must perform ALL reads before the first insert (see PortfolioSolver's
 /// finalize): an insert may evict an entry the plan promised to serve.
 template <typename Outcome>
 class MemoStore {
@@ -204,7 +204,7 @@ struct ShardTiming {
   double wall_seconds = 0;
 };
 
-/// The one shard loop both engines run: static block partitioning over
+/// The one shard loop the engine runs: static block partitioning over
 /// [0, n), a pickup stamp for every index (memo-served slots still queue
 /// behind their shard), and solve(i) for exactly the indices the plan marks
 /// kCompute (all of them when plan is null). solve must write only slot i's

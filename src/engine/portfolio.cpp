@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
+#include <map>
 #include <stdexcept>
-#include <unordered_map>
+#include <string_view>
 
 #include "src/engine/exec_core.hpp"
 #include "src/engine/policy.hpp"
@@ -20,28 +20,35 @@ using detail::fnv1a_mix_double;
 
 std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcomes,
                                     const std::vector<std::string>& variants) {
-  std::vector<VariantStats> out(variants.size());
-  std::vector<std::vector<double>> gaps(variants.size());
-  std::vector<std::vector<double>> walls(variants.size());
-  // Attempts are keyed back to their variant by algorithm NAME, not slot:
-  // under per-instance variant plans the attempt list is a (possibly
-  // shrunken) permutation of the portfolio, so positions no longer line up.
-  std::unordered_map<std::string, std::size_t> by_name;
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    out[v].algorithm = variants[v];
-    by_name.emplace(variants[v], v);
-  }
+  struct Row {
+    VariantStats stats;
+    std::vector<double> ratios, gaps, queues, walls;
+  };
+  // Rows are keyed by (portfolio position, solver that ran), so std::map
+  // orders them by portfolio order, then solver name; the views point into
+  // `outcomes` and `variants`, which outlive the map. Attempts are keyed
+  // back to their variant by NAME, not slot: under per-instance variant
+  // plans the attempt list is a (possibly shrunken) permutation of the
+  // portfolio, so positions no longer line up.
+  std::map<std::pair<std::size_t, std::string_view>, Row> rows;
 
   for (const PortfolioOutcome& o : outcomes) {
     for (const VariantAttempt& a : o.attempts) {
-      const auto it = by_name.find(a.algorithm);
-      if (it == by_name.end()) continue;  // foreign cache entry; not ours to count
-      const std::size_t v = it->second;
-      VariantStats& s = out[v];
+      const std::size_t v = static_cast<std::size_t>(
+          std::find(variants.begin(), variants.end(), a.algorithm) - variants.begin());
+      if (v == variants.size()) continue;  // foreign cache entry; not ours to count
+      const auto [it, fresh] = rows.try_emplace({v, a.solver()});
+      Row& row = it->second;
+      if (fresh) {
+        row.ratios.reserve(outcomes.size());
+        row.queues.reserve(outcomes.size());
+        row.walls.reserve(outcomes.size());
+      }
+      VariantStats& s = row.stats;
       // Wall stats cover every attempt: a variant that burns time before
       // failing still costs the portfolio, and hiding that would make
       // expensive never-winning variants look free in the table.
-      walls[v].push_back(a.wall_seconds);
+      row.walls.push_back(a.wall_seconds);
       if (a.outcome == AttemptOutcome::kCancelled) {
         ++s.cancelled;
         continue;
@@ -52,34 +59,43 @@ std::vector<VariantStats> aggregate(const std::vector<PortfolioOutcome>& outcome
       }
       ++s.solved;
       if (a.algorithm == o.winner) ++s.wins;
-      if (o.makespan > 0) gaps[v].push_back(a.makespan / o.makespan - 1.0);
+      row.ratios.push_back(a.ratio);
+      row.queues.push_back(o.queue_seconds);
+      if (o.makespan > 0) row.gaps.push_back(a.makespan / o.makespan - 1.0);
     }
   }
+  // A variant nothing was attempted with still gets its (empty) row.
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const auto next = rows.lower_bound({v, std::string_view()});
+    if (next == rows.end() || next->first.first != v) rows[{v, variants[v]}];
+  }
 
-  for (std::size_t v = 0; v < out.size(); ++v) {
-    VariantStats& s = out[v];
-    if (!gaps[v].empty()) {
-      double sum = 0;
-      for (double g : gaps[v]) sum += g;
-      s.gap_mean = sum / static_cast<double>(gaps[v].size());
-      s.gap_max = *std::max_element(gaps[v].begin(), gaps[v].end());
-    }
-    if (!walls[v].empty()) {
-      for (double w : walls[v]) s.wall_total += w;
-      const exec::Percentiles wall = exec::percentiles_of(walls[v]);
-      s.wall_p50 = wall.p50;
-      s.wall_p90 = wall.p90;
-      s.wall_p99 = wall.p99;
-      s.wall_max = wall.max;
-    }
+  std::vector<VariantStats> out;
+  out.reserve(rows.size());
+  const auto mean = [](const std::vector<double>& xs) {
+    double sum = 0;
+    for (double x : xs) sum += x;
+    return xs.empty() ? 0 : sum / static_cast<double>(xs.size());
+  };
+  for (auto& [key, row] : rows) {
+    VariantStats& s = row.stats;
+    s.variant = variants[key.first];
+    s.algorithm = std::string(key.second);
+    s.ratio_mean = mean(row.ratios);
+    s.ratio = exec::percentiles_of(row.ratios);
+    s.gap_mean = mean(row.gaps);
+    if (!row.gaps.empty()) s.gap_max = *std::max_element(row.gaps.begin(), row.gaps.end());
+    s.queue = exec::percentiles_of(row.queues);
+    for (double w : row.walls) s.wall_total += w;
+    s.wall = exec::percentiles_of(row.walls);
+    out.push_back(std::move(s));
   }
   return out;
 }
 
-/// Config part of the memo key (see the BatchSolver twin): variant list,
-/// eps, and the tie-break mode — the winner label is stored in the cached
-/// outcome, so outcomes produced under different tie-break rules must not
-/// alias.
+/// Config part of the memo key: variant list, eps, and the tie-break mode —
+/// the winner label is stored in the cached outcome, so outcomes produced
+/// under different tie-break rules must not alias.
 std::uint64_t config_memo_key(const PortfolioConfig& config) {
   std::uint64_t h = detail::kFnvOffsetBasis;
   const char tag[] = "portfolio";
@@ -125,31 +141,43 @@ std::vector<std::string> parse_portfolio_spec(const std::string& spec) {
   return names;
 }
 
-void PortfolioOutcome::mix_digest(std::uint64_t& h, std::size_t digest_index) const {
+void PortfolioOutcome::mix_digest(std::uint64_t& h, std::size_t digest_index,
+                                  bool single_variant) const {
   fnv1a_mix(h, &digest_index, sizeof(digest_index));
+  const auto mix_certificate = [&h](const auto& c) {
+    fnv1a_mix_double(h, c.makespan);
+    fnv1a_mix_double(h, c.lower_bound);
+    fnv1a_mix_double(h, c.ratio);
+    fnv1a_mix_double(h, c.guarantee);
+  };
+  if (single_variant) {
+    // The single-solver layout, from the one lane's attempt.
+    const VariantAttempt& a = attempts.front();
+    const unsigned char ok_byte = a.ok ? 1 : 0;
+    fnv1a_mix(h, &ok_byte, sizeof(ok_byte));
+    const std::string& name = a.solver();
+    fnv1a_mix(h, name.data(), name.size());
+    mix_certificate(a);
+    fnv1a_mix(h, &a.dual_calls, sizeof(a.dual_calls));
+    return;
+  }
   const unsigned char ok_byte = ok ? 1 : 0;
   fnv1a_mix(h, &ok_byte, sizeof(ok_byte));
-  fnv1a_mix_double(h, makespan);
-  fnv1a_mix_double(h, lower_bound);
-  fnv1a_mix_double(h, ratio);
-  fnv1a_mix_double(h, guarantee);
+  mix_certificate(*this);
   for (const VariantAttempt& a : attempts) {
     fnv1a_mix(h, a.algorithm.data(), a.algorithm.size());
     const unsigned char outcome_byte = static_cast<unsigned char>(a.outcome);
     fnv1a_mix(h, &outcome_byte, sizeof(outcome_byte));
     const unsigned char aok = a.ok ? 1 : 0;
     fnv1a_mix(h, &aok, sizeof(aok));
-    fnv1a_mix_double(h, a.makespan);
-    fnv1a_mix_double(h, a.lower_bound);
-    fnv1a_mix_double(h, a.ratio);
-    fnv1a_mix_double(h, a.guarantee);
+    mix_certificate(a);
     fnv1a_mix(h, &a.dual_calls, sizeof(a.dual_calls));
   }
 }
 
 std::uint64_t PortfolioResult::digest() const {
   std::uint64_t h = detail::kFnvOffsetBasis;
-  for (const PortfolioOutcome& o : outcomes) o.mix_digest(h, o.index);
+  for (const PortfolioOutcome& o : outcomes) o.mix_digest(h, o.index, single_variant);
   return h;
 }
 
@@ -179,11 +207,16 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
 
   const std::size_t n_variants = config.variants.size();
 
-  // Capability table, resolved once — the per-instance lane filter below
-  // must not do registry lookups inside the worker loop.
-  std::vector<char> mem_aware(n_variants, 0);
-  for (std::size_t v = 0; v < n_variants; ++v)
+  // Capability table and `auto` lanes, resolved once — the worker loop
+  // below must not do registry lookups or name compares. `identity` is the
+  // plan-free lane order, shared read-only by every worker.
+  std::vector<char> mem_aware(n_variants, 0), is_auto(n_variants, 0);
+  std::vector<std::uint16_t> identity(n_variants);
+  for (std::size_t v = 0; v < n_variants; ++v) {
     mem_aware[v] = registry_->memory_aware(config.variants[v]) ? 1 : 0;
+    is_auto[v] = config.variants[v] == "auto" ? 1 : 0;
+    identity[v] = static_cast<std::uint16_t>(v);
+  }
 
   // Resolve slot i's execution plan: null = identity (full portfolio in
   // config order). Explicit identity permutations are canonicalized to null
@@ -215,6 +248,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
 
   PortfolioResult result;
   result.outcomes.resize(batch.size());
+  result.single_variant = n_variants == 1;
 
   exec::MemoPlan plan;
   if (memo) {
@@ -256,6 +290,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
       const sched::ValidationResult check = sched::validate(r.schedule, batch[i]);
       if (!check.ok)
         throw std::runtime_error("invalid schedule: " + check.errors.front());
+      if (is_auto[v]) a.resolved = core::algorithm_name(r.used);
       a.outcome = AttemptOutcome::kCompleted;
       a.ok = true;
       a.error.clear();
@@ -279,14 +314,8 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         // config-variant indices; without a plan, lane l IS variant l. The
         // plan order is the canonical order for everything below — the
         // early-cancel walk and the digest.
-        const std::vector<std::uint16_t>* vp = plan_of(i);
-        std::vector<std::uint16_t> lane_vars;
-        if (vp) {
-          lane_vars = *vp;
-        } else {
-          lane_vars.resize(n_variants);
-          std::iota(lane_vars.begin(), lane_vars.end(), std::uint16_t{0});
-        }
+        const std::vector<std::uint16_t>* lane_vars = plan_of(i);
+        if (!lane_vars) lane_vars = &identity;
         // Capability filter (memory axis): a memory-constrained instance
         // tries only the memory-aware subset of its planned lanes — blind
         // variants are dropped, not failed, so a mixed portfolio degrades
@@ -294,15 +323,15 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
         // the registry's declared capabilities, both memo-key-covered. When
         // NO planned lane is capable the instance fails closed: every lane
         // reports the named capability error.
+        std::vector<std::uint16_t> capable;
         if (batch[i].memory_constrained()) {
-          std::vector<std::uint16_t> capable;
-          for (const std::uint16_t v : lane_vars)
+          for (const std::uint16_t v : *lane_vars)
             if (mem_aware[v]) capable.push_back(v);
           if (capable.empty()) {
-            out.attempts.resize(lane_vars.size());
-            for (std::size_t lane = 0; lane < lane_vars.size(); ++lane) {
+            out.attempts.resize(lane_vars->size());
+            for (std::size_t lane = 0; lane < lane_vars->size(); ++lane) {
               VariantAttempt& a = out.attempts[lane];
-              a.algorithm = config.variants[lane_vars[lane]];
+              a.algorithm = config.variants[(*lane_vars)[lane]];
               a.outcome = AttemptOutcome::kFailed;
               a.ok = false;
               a.error = "capability: variant '" + a.algorithm +
@@ -311,11 +340,11 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
             }
             return;
           }
-          lane_vars = std::move(capable);
+          lane_vars = &capable;
         }
-        const std::size_t lanes = lane_vars.size();
+        const std::size_t lanes = lane_vars->size();
         const auto variant_of = [&](std::size_t lane) -> std::size_t {
-          return lane_vars[lane];
+          return (*lane_vars)[lane];
         };
         out.attempts.resize(lanes);
         // A single-lane instance (single-variant portfolio, or a
@@ -379,18 +408,19 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
           // `decided` and omega are pure functions of the instance.
           if (decided) out.lower_bound = std::max(out.lower_bound, omega);
           // Same convention as core::ScheduleResult: a degenerate zero lower
-          // bound (e.g. a zero-job instance) reports ratio 1, keeping the
-          // single-variant portfolio bitwise equal to BatchSolver.
+          // bound (e.g. a zero-job instance) reports ratio 1.
           out.ratio = out.lower_bound > 0 ? out.makespan / out.lower_bound : 1;
         }
       });
   result.wall_seconds = timing.wall_seconds;
 
-  // Serial finalize, mirroring BatchSolver's two passes: serve every
-  // store-promised slot before the first insertion (a bounded store may
-  // evict a promised entry when fresh outcomes are recorded), then resolve
-  // in-batch duplicates, stamp index/queue, and store fresh outcomes.
-  // Served slots zero the compute cost — nothing was solved.
+  // Serial finalize, two passes. Pass 1 serves every store-promised slot
+  // before anything is inserted: under a bounded (LRU) store, recording a
+  // fresh outcome can evict an entry the plan promised to serve — plan_memo
+  // probed the store before the shard loop ran — so all store reads must
+  // precede the first write. Pass 2 resolves in-batch duplicates (slot
+  // j < i is already final), stamps index/queue, and stores fresh
+  // outcomes. Served slots zero the compute cost — nothing was solved.
   if (memo) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (plan.source[i] != exec::MemoPlan::kFromStore) continue;
@@ -421,10 +451,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
   std::vector<double> queues;
   queues.reserve(result.outcomes.size());
   for (const PortfolioOutcome& o : result.outcomes) queues.push_back(o.queue_seconds);
-  const exec::Percentiles queue = exec::percentiles_of(queues);
-  result.queue_p50 = queue.p50;
-  result.queue_p99 = queue.p99;
-  result.queue_max = queue.max;
+  result.queue = exec::percentiles_of(queues);
   return result;
 }
 

@@ -1,5 +1,11 @@
 // PortfolioSolver: try several registry variants per instance, keep the best.
 //
+// It is the library's one batch engine. A one-variant configuration is the
+// single-solver mode (`--algorithm X`): one lane per instance, no estimator
+// call, no early-cancel, each outcome digested in the single-solver layout
+// (see PortfolioOutcome::mix_digest) — and its schedule validated like
+// every other lane's.
+//
 // Capability filtering (memory axis): a memory-constrained instance tries
 // only the memory-aware subset of its planned lanes — memory-blind variants
 // are auto-dropped per instance (deterministically: instance content and
@@ -106,7 +112,11 @@ enum class AttemptOutcome : unsigned char {
 /// attempt is a canonical stub — name + outcome, all certificate fields
 /// zero — the variant never ran.
 struct VariantAttempt {
-  std::string algorithm;
+  std::string algorithm;  ///< the configured variant name
+  /// The algorithm `auto` resolved to on this instance
+  /// (core::algorithm_name of the result's `used`); empty for every other
+  /// variant and for an `auto` attempt that did not complete.
+  std::string resolved;
   AttemptOutcome outcome = AttemptOutcome::kFailed;
   bool ok = false;    ///< outcome == kCompleted (kept for ergonomic checks)
   std::string error;  ///< solver exception or validator message when failed
@@ -118,6 +128,10 @@ struct VariantAttempt {
   /// This variant's measured compute time (not deterministic); 0 for a
   /// cancelled attempt.
   double wall_seconds = 0;
+
+  /// The solver that produced this attempt: `resolved` when set, else the
+  /// variant name.
+  const std::string& solver() const { return resolved.empty() ? algorithm : resolved; }
 };
 
 /// Combined outcome for one instance, index-aligned with the batch.
@@ -137,55 +151,82 @@ struct PortfolioOutcome {
 
   /// Mixes the digest-covered fields into `h` exactly as
   /// PortfolioResult::digest() does, under a caller-chosen index — the
-  /// stream layer's rolling-digest hook (see InstanceOutcome::mix_digest).
-  void mix_digest(std::uint64_t& h, std::size_t digest_index) const;
+  /// stream layer's rolling-digest hook, which keeps a stream digest equal
+  /// to the one-shot digest over the concatenated windows.
+  ///
+  /// Two layouts. A multi-variant portfolio mixes (index, ok, makespan,
+  /// lower_bound, ratio, guarantee) and per attempt (algorithm, outcome,
+  /// ok, makespan, lower_bound, ratio, guarantee, dual_calls). A
+  /// `single_variant` configuration mixes its one attempt as a single
+  /// solver run: (index, ok, solver(), makespan, lower_bound, ratio,
+  /// guarantee, dual_calls) — so `--algorithm X` and a one-entry
+  /// `--portfolio X` are the same run with the same digest.
+  void mix_digest(std::uint64_t& h, std::size_t digest_index, bool single_variant) const;
 };
 
-/// Aggregate over one variant across the whole batch.
+/// Aggregate over one (variant, solver) row of the batch: one row per
+/// configured variant, except that `auto` splits by the algorithm each
+/// completed attempt resolved to (its failed and cancelled attempts stay
+/// under "auto"). Every percentile is nearest-rank.
 struct VariantStats {
-  std::string algorithm;
-  std::size_t wins = 0;    ///< instances where this variant was the winner
+  std::string variant;    ///< configured registry name
+  std::string algorithm;  ///< VariantAttempt::solver() of the row's attempts
+  std::size_t wins = 0;    ///< instances where this row's attempt was the winner
   std::size_t solved = 0;  ///< completed (valid-schedule) attempts
   std::size_t failed = 0;  ///< failed attempts (cancelled NOT included)
   /// Attempts excluded by the early-cancel rule. Deterministic (the rule
   /// is).
   std::size_t cancelled = 0;
+  /// Self-reported makespan / lower_bound of the completed attempts.
+  double ratio_mean = 0;
+  exec::Percentiles ratio;
   /// Quality gap of a completed attempt: makespan / best_makespan - 1,
   /// i.e. how far behind the per-instance winner this variant was (0 when it
   /// matched the best). Mean/max over its completed attempts.
   double gap_mean = 0;
   double gap_max = 0;
+  /// Shard pickup time of the instances behind the completed attempts.
+  exec::Percentiles queue;
   /// Wall stats cover ALL attempts — failed ones burn compute before
-  /// throwing, and cancelled ones report 0. Same p50/p90/p99/max ladder as
-  /// AlgorithmStats.
+  /// throwing, and cancelled ones report 0.
   double wall_total = 0;
-  double wall_p50 = 0, wall_p90 = 0, wall_p99 = 0, wall_max = 0;
+  exec::Percentiles wall;
 };
 
 struct PortfolioResult {
   std::vector<PortfolioOutcome> outcomes;   ///< index-aligned with the batch
-  std::vector<VariantStats> per_variant;    ///< portfolio order
+  /// Portfolio order; within a variant, sorted by solver name.
+  std::vector<VariantStats> per_variant;
+  /// The configuration named exactly one variant: outcomes digest in the
+  /// single-solver layout (see PortfolioOutcome::mix_digest).
+  bool single_variant = false;
   std::size_t solved = 0;  ///< instances with at least one valid schedule
   std::size_t failed = 0;  ///< instances where every variant failed
   /// Total attempts excluded by the early-cancel rule (sum of the
   /// per-variant `cancelled` counts). Deterministic.
   std::size_t cancelled_attempts = 0;
   double wall_seconds = 0;  ///< whole-batch wall clock
-  /// Memoization tally, deterministic; both zero without a memo store (see
-  /// BatchResult for the exact semantics — they are identical here).
+  /// Memoization tally (both zero when no memo store was passed). A hit is
+  /// an outcome served without solving — a duplicate of an earlier index of
+  /// this batch, or of an instance a prior batch stored. hits + misses ==
+  /// batch size when memoization is on, and both counts are deterministic
+  /// (the memo plan is computed serially before dispatch).
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   /// Batch-level shard-pickup latency percentiles over all outcomes (queue
   /// time is a property of the instance's shard slot, shared by every
   /// variant tried on it). Not deterministic, excluded from the digest.
-  double queue_p50 = 0, queue_p99 = 0, queue_max = 0;
+  exec::Percentiles queue;
 
-  /// FNV-1a over the deterministic fields, batch order: per outcome
-  /// (index, ok, makespan, lower_bound, ratio, guarantee) and per attempt
-  /// (algorithm, outcome, ok, makespan, lower_bound, ratio, guarantee,
-  /// dual_calls). Winner names, win counts, and all wall/queue fields are
-  /// excluded — they may legitimately differ between runs (see file
-  /// comment). Equal across thread counts for the same batch + config.
+  /// FNV-1a over every outcome's deterministic fields in batch order (see
+  /// PortfolioOutcome::mix_digest for the two layouts). Winner names, win
+  /// counts, error text and all wall/queue fields are excluded — they may
+  /// legitimately differ between runs (see file comment).
+  ///
+  /// Stability contract: equal across thread counts and repeated runs of
+  /// the same batch + config on the same build; NOT stable across configs,
+  /// and not promised across compilers or libm versions (solvers do real
+  /// floating-point work).
   std::uint64_t digest() const;
 };
 
@@ -196,14 +237,18 @@ class PortfolioSolver {
 
   /// Runs config.variants on every instance. Throws std::invalid_argument
   /// up front when the variant list is empty, contains an unknown or
-  /// duplicate name, or eps is out of range; per-instance solver errors are
-  /// recorded in the outcomes instead of thrown. A single-variant portfolio
-  /// degenerates to BatchSolver semantics (same makespans, bounds, ratios).
+  /// duplicate name, or eps is out of range; per-instance solver errors
+  /// and invalid schedules are recorded in the outcomes instead of thrown.
+  /// A single-variant portfolio is the single-solver mode: one lane, no
+  /// estimator call, no early-cancel.
   ///
-  /// `memo` enables digest-keyed memoization with the same contract as
-  /// BatchSolver::solve: duplicate instances reuse the stored outcome
-  /// (winner label included), the digest is unchanged, served outcomes
-  /// report zero compute, and the store must not be shared concurrently.
+  /// `memo` (optional) enables digest-keyed memoization: instances whose
+  /// content was already solved under this config — earlier in this batch
+  /// or in a prior batch sharing the store — reuse the stored outcome
+  /// (winner label included) instead of re-solving. Solvers are pure, so
+  /// the digest is unchanged; served outcomes report zero compute. The
+  /// store is read and extended serially around the shard loop; sharing
+  /// one store between concurrent solve calls is not supported.
   PortfolioResult solve(const std::vector<jobs::Instance>& batch,
                         const PortfolioConfig& config,
                         exec::MemoStore<PortfolioOutcome>* memo = nullptr) const;

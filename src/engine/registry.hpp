@@ -54,10 +54,10 @@ struct SolverConfig {
 /// A registered solver variant: maps (instance, config) to a ScheduleResult,
 /// reporting failure by throwing (std::exception derivatives only).
 ///
-/// Contract required by the batch/portfolio engines:
+/// Contract required by the batch engine (PortfolioSolver):
 ///   * pure — the result is a function of the arguments alone (no hidden
 ///     state, no randomness, no wall-clock dependence); this is what makes
-///     the engines' digests stable across thread counts;
+///     the engine's digests stable across thread counts;
 ///   * thread-compatible — concurrent calls on distinct instances are safe
 ///     (all built-ins are; custom variants must not share mutable state);
 ///   * certified — `lower_bound` must be a valid lower bound on OPT and the
@@ -105,9 +105,9 @@ class AlgorithmRegistry {
 
   /// Fail-closed capability gate: throws std::invalid_argument with a
   /// message starting "capability:" when `instance` is memory-constrained
-  /// and `name` is memory-blind. The engines run this before every solve so
-  /// a blind variant can never silently produce a memory-overcommitted
-  /// schedule. No-op for memory-free instances and memory-aware variants.
+  /// and `name` is memory-blind. solve() runs it before every call, and the
+  /// batch engine applies the same rule to each lane, so a blind variant can
+  /// never silently produce a memory-overcommitted schedule. No-op for memory-free instances and memory-aware variants.
   void check_capability(const std::string& name, const jobs::Instance& instance) const;
 
   /// Sorted solver names (stable across runs; used by --help output).

@@ -43,24 +43,32 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
                                const WindowCallback& on_window,
                                const ErrorCallback& on_error) const {
   // Fail fast, before consuming any input: a config typo must not eat half
-  // a stream first. The same checks the per-window solvers repeat.
+  // a stream first. The same checks the per-window solver repeats.
   if (config.window == 0)
     throw std::invalid_argument("stream: window must be >= 1");
   if (config.max_inflight == 0)
     throw std::invalid_argument("stream: max-inflight must be >= 1");
+  // The reorder buffer holds window × max_inflight records; a product that
+  // wraps would silently shrink it (to 0: every record dropped).
+  if (config.max_inflight > std::numeric_limits<std::size_t>::max() / config.window)
+    throw std::invalid_argument(
+        "stream: window * max-inflight overflows the reorder buffer size");
   if (!(config.eps > 0) || config.eps > 1)
     throw std::invalid_argument("stream: eps must be in (0, 1]");
+  // Single-solver mode is the one-variant portfolio.
   const bool portfolio_mode = !config.variants.empty();
-  if (portfolio_mode) {
-    for (std::size_t v = 0; v < config.variants.size(); ++v) {
-      registry_->at(config.variants[v]);  // throws with the known-name list
-      for (std::size_t w = 0; w < v; ++w)
-        if (config.variants[w] == config.variants[v])
-          throw std::invalid_argument("stream: duplicate variant '" +
-                                      config.variants[v] + "'");
-    }
-  } else {
-    registry_->at(config.algorithm);
+  PortfolioConfig engine_config;
+  engine_config.variants =
+      portfolio_mode ? config.variants : std::vector<std::string>{config.algorithm};
+  engine_config.eps = config.eps;
+  engine_config.threads = config.threads;
+  engine_config.tie_break = config.tie_break;
+  const std::vector<std::string>& variants = engine_config.variants;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    registry_->at(variants[v]);  // throws with the known-name list
+    for (std::size_t w = 0; w < v; ++w)
+      if (variants[w] == variants[v])
+        throw std::invalid_argument("stream: duplicate variant '" + variants[v] + "'");
   }
   // Canonicalize deadline keys the way Instance does ("default" == the
   // unlabelled class) so the lookup below can use sla_class() verbatim.
@@ -82,37 +90,23 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
 
   // The policy layer: shed probe + virtual clock + variant plans. Owned
   // here and driven entirely from the serial serve loop (fill, window cut,
-  // per-window finalize) — never from inside a worker.
+  // per-window finalize) — never from inside a worker. A single lane has no
+  // order to learn, so its prior table stays empty.
   std::optional<AdmissionPolicy> policy;
   if (config.shed || config.adapt) {
     AdmissionPolicy::Config policy_config;
     policy_config.shed = config.shed;
     policy_config.adapt = config.adapt;
-    policy_config.n_variants = portfolio_mode ? config.variants.size() : 0;
+    policy_config.n_variants = variants.size() > 1 ? variants.size() : 0;
     policy.emplace(policy_config, deadlines);
   }
   // Attempt names map back to portfolio indices for the prior updates.
   std::unordered_map<std::string, std::uint16_t> variant_index;
-  for (std::size_t v = 0; v < config.variants.size(); ++v)
-    variant_index.emplace(config.variants[v], static_cast<std::uint16_t>(v));
+  for (std::size_t v = 0; v < variants.size(); ++v)
+    variant_index.emplace(variants[v], static_cast<std::uint16_t>(v));
 
-  BatchConfig batch_config;
-  batch_config.algorithm = config.algorithm;
-  batch_config.eps = config.eps;
-  batch_config.threads = config.threads;
-  PortfolioConfig portfolio_config;
-  portfolio_config.variants = config.variants;
-  portfolio_config.eps = config.eps;
-  portfolio_config.threads = config.threads;
-  portfolio_config.tie_break = config.tie_break;
-
-  const BatchSolver batch_solver(*registry_);
-  const PortfolioSolver portfolio_solver(*registry_);
-  exec::MemoStore<InstanceOutcome> batch_memo(config.memo_capacity);
-  exec::MemoStore<PortfolioOutcome> portfolio_memo(config.memo_capacity);
-  const auto store_evictions = [&] {
-    return portfolio_mode ? portfolio_memo.evictions() : batch_memo.evictions();
-  };
+  const PortfolioSolver solver(*registry_);
+  exec::MemoStore<PortfolioOutcome> memo(config.memo_capacity);
 
   StreamResult result;
   result.rolling_digest = detail::kFnvOffsetBasis;  // == empty batch digest
@@ -130,7 +124,9 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
   };
   std::vector<Pending> pending;
   const std::size_t capacity = config.window * config.max_inflight;
-  pending.reserve(capacity);
+  // A hostile (but non-overflowing) window must not size an allocation up
+  // front; the buffer grows to what the stream actually delivers.
+  pending.reserve(std::min<std::size_t>(capacity, 4096));
 
   const std::size_t sketch_threshold = config.raw_samples
                                            ? QuantileSketch::kUnbounded
@@ -255,7 +251,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     WindowStats stats;
     stats.index = result.windows;
     stats.instances = window.size();
-    const std::size_t evictions_before = store_evictions();
+    const std::size_t evictions_before = memo.evictions();
 
     // Per-instance execution plans from the policy: single-lane down-shifts
     // for slack-exhausted deadline instances, prior-seeded lane orders under
@@ -263,8 +259,8 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     // are frozen for the whole window, so the plan set is a pure function of
     // the stream prefix and config.
     std::vector<std::vector<std::uint16_t>> window_plans;
-    portfolio_config.variant_plans = nullptr;
-    if (policy && portfolio_mode && config.variants.size() > 1) {
+    engine_config.variant_plans = nullptr;
+    if (policy && variants.size() > 1) {
       window_plans.resize(take);
       for (std::size_t i = 0; i < take; ++i) {
         VariantPlan plan = policy->plan_for(window[i], window_omegas[i]);
@@ -274,7 +270,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
         }
         window_plans[i] = std::move(plan.order);
       }
-      portfolio_config.variant_plans = &window_plans;
+      engine_config.variant_plans = &window_plans;
     }
 
     // One solved instance folded into the per-class accounting: sketch the
@@ -304,70 +300,51 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
       }
     };
 
-    // Solve the window through the shared core; fold outcomes into the
-    // rolling digest under their stream-global indices and into the
-    // per-class accounting.
-    if (portfolio_mode) {
-      const PortfolioResult r = portfolio_solver.solve(
-          window, portfolio_config, config.memo ? &portfolio_memo : nullptr);
-      stats.solved = r.solved;
-      stats.failed = r.failed;
-      stats.wall_seconds = r.wall_seconds;
-      stats.memo_hits = r.memo_hits;
-      stats.memo_misses = r.memo_misses;
-      stats.cancelled_attempts = r.cancelled_attempts;
-      stats.digest = r.digest();
+    // Solve the window through the engine; fold outcomes into the rolling
+    // digest under their stream-global indices and into the per-class
+    // accounting.
+    const PortfolioResult r =
+        solver.solve(window, engine_config, config.memo ? &memo : nullptr);
+    stats.solved = r.solved;
+    stats.failed = r.failed;
+    stats.wall_seconds = r.wall_seconds;
+    stats.memo_hits = r.memo_hits;
+    stats.memo_misses = r.memo_misses;
+    stats.cancelled_attempts = r.cancelled_attempts;
+    stats.digest = r.digest();
+    for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
+      const PortfolioOutcome& o = r.outcomes[i];
+      const std::size_t index = global_index++;
+      o.mix_digest(result.rolling_digest, index, r.single_variant);
+      account(index, window_tags[i], window[i], o.ok, o.queue_seconds, o.compute_seconds);
+    }
+    // Serial prior update from this window's canonical attempt sets. The
+    // win credit goes to the CANONICAL winner — the earliest attempt in
+    // plan order that completed at the outcome makespan — not the
+    // tie-break label, which under kWallTime may differ between runs.
+    // Cancelled attempts (skipped by the early-cancel rule) are debited.
+    // Memo-served outcomes count too: their attempt sets are canonical by
+    // construction. Runs whenever the policy is active so a shed-only serve
+    // still learns the leaders its down-shifts will target.
+    if (policy) {
       for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
         const PortfolioOutcome& o = r.outcomes[i];
-        const std::size_t index = global_index++;
-        o.mix_digest(result.rolling_digest, index);
-        account(index, window_tags[i], window[i], o.ok, o.queue_seconds,
-                o.compute_seconds);
-      }
-      // Serial prior update from this window's canonical attempt sets. The
-      // win credit goes to the CANONICAL winner — the earliest attempt in
-      // plan order that completed at the outcome makespan — not the
-      // tie-break label, which under kWallTime may differ between runs.
-      // Cancelled attempts (skipped by the early-cancel rule) are debited. Memo-served outcomes
-      // count too: their attempt sets are canonical by construction. Runs
-      // whenever the policy is active so a shed-only serve still learns the
-      // leaders its down-shifts will target.
-      if (policy) {
-        for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
-          const PortfolioOutcome& o = r.outcomes[i];
-          const std::string& cls = window[i].sla_class();
-          bool win_credited = false;
-          for (const VariantAttempt& a : o.attempts) {
-            const auto vi = variant_index.find(a.algorithm);
-            if (vi == variant_index.end()) continue;
-            if (!win_credited && o.ok && a.ok && a.makespan == o.makespan) {
-              policy->priors().observe_win(cls, vi->second);
-              win_credited = true;
-            } else if (a.outcome == AttemptOutcome::kCancelled) {
-              policy->priors().observe_cancel(cls, vi->second);
-            }
+        const std::string& cls = window[i].sla_class();
+        bool win_credited = false;
+        for (const VariantAttempt& a : o.attempts) {
+          const auto vi = variant_index.find(a.algorithm);
+          if (vi == variant_index.end()) continue;
+          if (!win_credited && o.ok && a.ok && a.makespan == o.makespan) {
+            policy->priors().observe_win(cls, vi->second);
+            win_credited = true;
+          } else if (a.outcome == AttemptOutcome::kCancelled) {
+            policy->priors().observe_cancel(cls, vi->second);
           }
         }
-        policy->priors().end_window();
       }
-    } else {
-      const BatchResult r =
-          batch_solver.solve(window, batch_config, config.memo ? &batch_memo : nullptr);
-      stats.solved = r.solved;
-      stats.failed = r.failed;
-      stats.wall_seconds = r.wall_seconds;
-      stats.memo_hits = r.memo_hits;
-      stats.memo_misses = r.memo_misses;
-      stats.digest = r.digest();
-      for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
-        const InstanceOutcome& o = r.outcomes[i];
-        const std::size_t index = global_index++;
-        o.mix_digest(result.rolling_digest, index);
-        account(index, window_tags[i], window[i], o.ok, o.queue_seconds,
-                o.wall_seconds);
-      }
+      policy->priors().end_window();
     }
-    stats.memo_evictions = store_evictions() - evictions_before;
+    stats.memo_evictions = memo.evictions() - evictions_before;
     stats.rolling_digest = result.rolling_digest;
 
     ++result.windows;
@@ -383,7 +360,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     result.window_stats.push_back(stats);
     cap_history(result.window_stats);
   }
-  result.memo_evictions = store_evictions();
+  result.memo_evictions = memo.evictions();
   result.preamble = source.preamble();
 
   for (auto& [name, bucket] : classes) {  // std::map: sorted by class name

@@ -1,7 +1,7 @@
 // StreamSolver: the continuous serving loop on top of the execution core.
 //
-// Where BatchSolver/PortfolioSolver solve one pre-materialized batch and
-// return, StreamSolver consumes an unbounded stream of instance records
+// Where PortfolioSolver solves one pre-materialized batch and returns,
+// StreamSolver consumes an unbounded stream of instance records
 // from an InstanceSource (a stdin pipe, a watched directory, a socket
 // listener multiplexing many client sessions — see instance_source.hpp)
 // and serves it as a sequence of bounded micro-batches:
@@ -11,10 +11,12 @@
 //     of the solver — the bounded reorder horizon within which instances
 //     are ordered by their `arrival` metadata (stable sort, so records
 //     without arrival stamps keep stream order);
-//   * each window runs through the shared core in single-solver or
-//     portfolio mode, optionally memoized across windows (duplicate
-//     instances in a replay stream reuse the prior outcome; a nonzero
-//     memo_capacity bounds the store under deterministic LRU eviction);
+//   * each window runs through the one batch engine (PortfolioSolver; the
+//     single-solver mode is its one-variant configuration, so every served
+//     schedule passes sched::validate), optionally memoized across windows
+//     (duplicate instances in a replay stream reuse the prior outcome; a
+//     nonzero memo_capacity bounds the store under deterministic LRU
+//     eviction);
 //   * per-window stats are emitted as the window completes, and per-SLA-
 //     class latency splits are aggregated over the whole stream;
 //   * a flush marker in the stream (StreamRecord::flush — emitted by a
@@ -48,7 +50,7 @@
 // the config (reading, ordering, and window cuts are all serial), and each
 // window inherits the core's thread-count independence. The rolling digest
 // folds every outcome under its stream-global index with exactly the
-// per-outcome mixing of the one-shot engines, so for a fixed input and
+// per-outcome mixing of the one-shot engine, so for a fixed input and
 // window size it is identical across --threads 1/N *and* equal to the
 // one-shot batch digest over the concatenated windows (ordered as served).
 // Memo hit/miss/eviction counts are equally thread-count independent (serial
@@ -86,7 +88,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/instance_source.hpp"
 #include "src/engine/policy.hpp"
 #include "src/engine/portfolio.hpp"
@@ -195,7 +196,7 @@ struct WindowStats {
 /// Whole-stream latency split for one SLA class (the `class` directive;
 /// unlabelled instances report under "default"). Queue is shard pickup
 /// within the instance's window, compute is solve time (the summed variant
-/// walls in portfolio mode) — the same split the batch engines report,
+/// walls in portfolio mode) — the same split the batch engine reports,
 /// aggregated per class instead of per algorithm.
 struct ClassStats {
   std::string sla_class;
@@ -274,7 +275,8 @@ class StreamSolver {
   explicit StreamSolver(const AlgorithmRegistry& registry = AlgorithmRegistry::global());
 
   /// Serves `source` to exhaustion. Throws std::invalid_argument up front —
-  /// before consuming any input — for a zero window/max_inflight, an
+  /// before consuming any input — for a zero window/max_inflight, a
+  /// window × max_inflight product that overflows std::size_t, an
   /// unknown or duplicate solver name, eps out of range, a non-finite or
   /// non-positive class deadline, `shed` without any class deadline, or
   /// `adapt` outside portfolio mode; per-instance failures and malformed

@@ -1,6 +1,7 @@
 #include "src/traffic/replay.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -59,26 +60,15 @@ std::vector<std::pair<std::string, std::string>> split_kv(const std::string& bod
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& v, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long r = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
-    fail("invalid " + what + " value '" + v + "'");
-  }
-}
-
-std::uint64_t parse_hex(const std::string& v, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long r = std::stoull(v, &pos, 16);
-    if (pos != v.size() || v.empty()) throw std::invalid_argument(v);
-    return r;
-  } catch (const std::exception&) {
-    fail("invalid " + what + " value '" + v + "'");
-  }
+/// Digits only, in `base`: no sign (stoull would wrap "-1" to 2^64 - 1),
+/// no leading whitespace, no prefix, no overflow — a count or digest that
+/// is not spelled the way the recorder writes it is a corrupted record.
+std::uint64_t parse_u64(const std::string& v, const std::string& what, int base = 10) {
+  std::uint64_t r = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, r, base);
+  if (ec != std::errc() || ptr != end) fail("invalid " + what + " value '" + v + "'");
+  return r;
 }
 
 double parse_num(const std::string& v, const std::string& what) {
@@ -373,10 +363,10 @@ ReplayFile load_record(std::istream& is) {
         apply_counter_kv(file.counters, k, v);
       saw_counters = true;
     } else if (t.rfind("# records-digest ", 0) == 0) {
-      file.records_digest = parse_hex(trim(t.substr(17)), "records-digest");
+      file.records_digest = parse_u64(trim(t.substr(17)), "records-digest", 16);
       saw_records_digest = true;
     } else if (t.rfind("# rolling-digest ", 0) == 0) {
-      file.rolling_digest = parse_hex(trim(t.substr(17)), "rolling-digest");
+      file.rolling_digest = parse_u64(trim(t.substr(17)), "rolling-digest", 16);
       saw_rolling = true;
     } else {
       fail("unexpected line in trailer: '" + t.substr(0, 60) + "'");

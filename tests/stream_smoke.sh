@@ -60,10 +60,11 @@
 #            binds port 0 and publishes the kernel-chosen port through
 #            --port-file, so concurrent `ctest -j` runs cannot collide.
 #   cli    — the numeric-parsing regression guard: every malformed numeric
-#            flag value (and a NaN/inf/negative --deadline budget) must
-#            exit 2 with a diagnostic naming the offending flag — never an
-#            uncaught std::invalid_argument abort — on both batch_service
-#            and traffic_gen, while the well-formed spellings still parse.
+#            flag value (and a NaN/inf/zero/negative --deadline budget, and
+#            an overflowing --window x --max-inflight product) must exit 2
+#            with a diagnostic naming the offending flag — never an uncaught
+#            std::invalid_argument abort — on both batch_service and
+#            traffic_gen, while the well-formed spellings still parse.
 set -eu
 
 bin=$1
@@ -300,15 +301,23 @@ cli)
     expect_cli_error "$bin" "--window needs a non-negative integer" --window 16x
     expect_cli_error "$bin" "--memo-capacity needs a non-negative integer" --memo-capacity 64k
     expect_cli_error "$bin" "--eps needs a number" --eps nope
-    # --deadline budgets additionally reject NaN/inf/negative seconds: a
-    # non-finite or negative budget is not a deadline, it is a parse bug.
-    expect_cli_error "$bin" "--deadline SECONDS must be finite and non-negative" \
+    # --deadline budgets additionally reject NaN/inf/zero/negative seconds,
+    # the range the engine enforces: a budget that is not finite and > 0 is
+    # not a deadline, it is a parse bug.
+    expect_cli_error "$bin" "--deadline SECONDS must be finite and > 0" \
         --serve --shed --deadline interactive=nan
-    expect_cli_error "$bin" "--deadline SECONDS must be finite and non-negative" \
+    expect_cli_error "$bin" "--deadline SECONDS must be finite and > 0" \
         --serve --shed --deadline interactive=inf
-    expect_cli_error "$bin" "--deadline SECONDS must be finite and non-negative" \
+    expect_cli_error "$bin" "--deadline SECONDS must be finite and > 0" \
         --serve --shed --deadline interactive=-1
+    expect_cli_error "$bin" "--deadline SECONDS must be finite and > 0" \
+        --serve --shed --deadline interactive=0
     expect_cli_error "$bin" "--deadline needs a number" --serve --deadline interactive=soon
+    # A window x max-inflight product that wraps in 64 bits (2^32 x 2^32)
+    # is a config error, not a zero-sized reorder buffer that drops the
+    # whole stream.
+    expect_cli_error "$bin" "window * max-inflight overflows" \
+        --serve --window 4294967296 --max-inflight 4294967296 < "$fixture"
 
     expect_cli_error "$traffic_gen" "--max-arrivals needs a non-negative integer" --max-arrivals many
     expect_cli_error "$traffic_gen" "--seed needs a non-negative integer" --seed 0x7

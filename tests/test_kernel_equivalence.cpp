@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "src/core/estimator.hpp"
-#include "src/engine/batch_solver.hpp"
+#include "src/engine/portfolio.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/jobs/generators.hpp"
 #include "src/knapsack/bounded.hpp"
@@ -379,10 +379,10 @@ TEST(KernelEquivalence, PinnedEngineDigestsAtPaperScale) {
       {"algorithm1", 0xdaf943f32361f521ULL},
   };
   for (const auto& pin : pins) {
-    engine::BatchConfig config;
-    config.algorithm = pin.algorithm;
+    engine::PortfolioConfig config;
+    config.variants = {pin.algorithm};
     config.threads = 1;
-    const engine::BatchResult r = engine::BatchSolver().solve(family, config);
+    const engine::PortfolioResult r = engine::PortfolioSolver().solve(family, config);
     EXPECT_EQ(r.solved, family.size()) << pin.algorithm;
     EXPECT_EQ(r.digest(), pin.digest)
         << pin.algorithm << ": digest 0x" << std::hex << r.digest();

@@ -1,4 +1,4 @@
-// Fuzz tests for the two parsers of untrusted bytes in serve mode.
+// Fuzz tests for the three parsers of untrusted bytes in serve mode.
 //
 // IoDifferential: the line-view instance parser (jobs/io.cpp) against the
 // retained iostream parser (jobs/io_reference.hpp, the verbatim
@@ -18,6 +18,14 @@
 // zero, oversized or random length fields, fed in random chunks. It must
 // never crash; it either poisons itself with a diagnostic or yields frames
 // that re-encode to exactly the bytes it consumed.
+//
+// ReplayFuzz: traffic::load_record over seeded line and byte mutations of
+// recorded serve sessions. It must return, or throw std::runtime_error with
+// the `record:` prefix. A file it accepts is replayed on one thread: the
+// replay must return a report (a mismatch is fine — the mutation may have
+// moved a recorded counter) or reject the config up front with
+// std::invalid_argument, and it must account every record of the body as
+// served, shed or malformed — the stream layer never drops an arrival.
 #include <gtest/gtest.h>
 
 #include <charconv>
@@ -31,9 +39,12 @@
 #include <vector>
 
 #include "src/engine/exec_core.hpp"
+#include "src/engine/stream_solver.hpp"
 #include "src/jobs/io.hpp"
 #include "src/jobs/io_reference.hpp"
 #include "src/net/framing.hpp"
+#include "src/traffic/replay.hpp"
+#include "src/traffic/traffic_gen.hpp"
 #include "src/util/prng.hpp"
 
 namespace moldable {
@@ -619,6 +630,168 @@ TEST(FramingFuzz, MutatedStreamsPoisonOrDecodeByteIdentically) {
   }
   EXPECT_GT(poisoned, 1000);
   EXPECT_GT(clean, 1000);
+}
+
+// ---------------------------------------------------------------- replay --
+
+/// A recorded 1-thread serve session over a short generated storm with
+/// duplicates and a deadline class: single-solver with shedding, or a
+/// two-variant portfolio with a bounded memo store.
+std::string recorded_session(bool portfolio) {
+  traffic::TrafficConfig traffic;
+  traffic.curve = "const:rate=12";
+  traffic.seed = portfolio ? 5 : 6;
+  traffic.horizon = 2;
+  traffic.jobs_cap = 6;
+  traffic.machines = 8;
+  traffic.duplicate_every = 4;
+  std::ostringstream stream;
+  traffic::TrafficGenerator(traffic).write(stream);
+
+  engine::StreamConfig config;
+  config.window = 4;
+  config.max_inflight = 2;
+  config.threads = 1;
+  config.memo = true;
+  config.memo_capacity = 6;
+  config.class_deadlines["interactive"] = 0.5;
+  if (portfolio)
+    config.variants = {"mrt", "lt-2approx"};
+  else
+    config.shed = true;
+  std::ostringstream file;
+  traffic::StreamRecorder recorder(file, config);
+  std::istringstream input(stream.str());
+  recorder.finalize(engine::StreamSolver().run(input, recorder.instrument(config)));
+  return file.str();
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Sets `key=` on every line that carries it to `value`.
+void set_key(std::vector<std::string>& lines, const std::string& key, const std::string& value) {
+  for (std::string& line : lines) {
+    const std::size_t at = line.find(" " + key + "=");
+    if (at == std::string::npos) continue;
+    const std::size_t from = at + key.size() + 2;
+    line.replace(from, std::min(line.find(' ', from), line.size()) - from, value);
+  }
+}
+
+/// Counts, the spellings stoull reads in surprising ways, and values whose
+/// products wrap.
+const std::vector<std::string> kCountCorpus = {
+    "-1", "-16", "-4", "+4", "0", "007", "3", "4294967296", "18446744073709551615",
+    "18446744073709551616", "1e3", "0x10", "4x", "", "nan"};
+
+/// Line-structured mutations of a record file.
+void mutate_record_lines(Prng& rng, std::vector<std::string>& lines) {
+  const auto any_line = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(lines.size()) - 1));
+  };
+  static const std::vector<std::string> kKeys = {
+      "window", "max-inflight", "memo", "memo-capacity", "window-history", "eps",
+      "shed", "adapt", "instances", "memo-hits", "cancelled", "algorithm"};
+  switch (rng.uniform_int(0, 5)) {
+    case 0:  // one key, any corpus spelling
+      set_key(lines, pick(rng, kKeys), pick(rng, kCountCorpus));
+      break;
+    case 1:  // the reorder-buffer pair together, so wrapped products occur
+      set_key(lines, "window", pick(rng, kCountCorpus));
+      set_key(lines, "max-inflight", pick(rng, kCountCorpus));
+      break;
+    case 2: {  // a digest, latency or deadline value replaced
+      std::string& line = lines[any_line()];
+      const std::size_t n = token_count(line);
+      if (n > 2) replace_token(line, static_cast<std::size_t>(rng.uniform_int(2, static_cast<std::int64_t>(n) - 1)), pick(rng, kCountCorpus));
+      break;
+    }
+    case 3: {
+      const std::size_t i = any_line();
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+      break;
+    }
+    case 4:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(any_line()));
+      break;
+    default:
+      std::swap(lines[any_line()], lines[any_line()]);
+      break;
+  }
+}
+
+/// Records in a body, malformed ones included (flush markers excluded).
+std::size_t body_records(const std::string& body) {
+  std::istringstream in(body);
+  jobs::InstanceStreamReader reader(in);
+  jobs::StreamRecord record;
+  std::size_t n = 0;
+  while (reader.next(record))
+    if (!record.flush) ++n;
+  return n;
+}
+
+TEST(ReplayFuzz, MutatedRecordsLoadOrFailAsRecordErrorsAndNeverDropArrivals) {
+  const std::string sessions[] = {recorded_session(false), recorded_session(true)};
+  Prng rng(0x5E4A7);
+  int rejected = 0, refused = 0, replayed = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::string& original = sessions[iter % 2];
+    std::string text = original;
+    const int mutations = iter < 2 ? 0 : static_cast<int>(rng.uniform_int(1, 3));
+    for (int k = 0; k < mutations; ++k) {
+      if (rng.bernoulli(0.6)) {
+        std::vector<std::string> lines = split_lines(text);
+        if (lines.empty()) break;
+        mutate_record_lines(rng, lines);
+        text.clear();
+        for (const std::string& line : lines) text += line + '\n';
+      } else {
+        mutate_bytes(rng, text);
+      }
+    }
+
+    traffic::ReplayFile file;
+    try {
+      std::istringstream in(text);
+      file = traffic::load_record(in);
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()).rfind("record: ", 0), 0u)
+          << "iteration " << iter << ": " << e.what();
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "iteration " << iter << ": load_record threw a non-record error: "
+             << e.what() << "\n" << printable(text);
+    }
+
+    traffic::ReplayReport report;
+    try {
+      report = traffic::replay(file, 1);
+    } catch (const std::invalid_argument&) {
+      ++refused;  // a config the engine rejects up front
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "iteration " << iter << ": replay threw " << e.what() << "\n"
+             << printable(text.substr(0, text.find("moldable-instance")));
+    }
+    ++replayed;
+    const engine::StreamResult& r = report.result;
+    EXPECT_EQ(r.instances + r.shed + r.malformed, body_records(file.body))
+        << "iteration " << iter << ": arrivals dropped under window=" << file.config.window
+        << " max-inflight=" << file.config.max_inflight;
+    if (mutations == 0) {
+      EXPECT_TRUE(report.ok) << (report.mismatches.empty() ? "" : report.mismatches[0]);
+    }
+  }
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(replayed, 100);
+  EXPECT_GT(refused, 10);
 }
 
 }  // namespace

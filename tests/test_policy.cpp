@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/policy.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/engine/stream_solver.hpp"
@@ -62,9 +61,10 @@ TEST(AdmissionPolicy, CertificateLowerBoundsEveryAchievableMakespan) {
   // and check the bound held. A violation here would mean shedding could
   // refuse an instance that a solver COULD have served in time.
   const auto batch = policy_batch(12);
-  BatchConfig config;
+  PortfolioConfig config;
+  config.variants = {"auto"};
   config.threads = 2;
-  const BatchResult result = BatchSolver().solve(batch, config);
+  const PortfolioResult result = PortfolioSolver().solve(batch, config);
   ASSERT_EQ(result.solved, batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const double omega = certified_lower_bound(batch[i]);

@@ -1,8 +1,8 @@
-// Portfolio-engine tests: spec parsing, the combined-certificate semantics
+// Batch-engine tests: spec parsing, the combined-certificate semantics
 // (min makespan / max lower bound), winner selection determinism across
-// thread counts, all-variants-fail isolation, the single-variant
-// degeneration to plain BatchSolver behaviour, and the early-cancel rule on
-// mock solvers.
+// thread counts, all-variants-fail isolation, the one-variant single-solver
+// mode (auto resolution, failure isolation, memoization, stats ladders),
+// and the early-cancel rule on mock solvers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "src/engine/batch_solver.hpp"
+#include "src/core/scheduler.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/jobs/generators.hpp"
 
@@ -80,26 +80,29 @@ TEST(PortfolioSolver, InvalidConfigThrowsUpFront) {
   EXPECT_THROW(PortfolioSolver().solve(batch, bad_eps), std::invalid_argument);
 }
 
-TEST(PortfolioSolver, SingleVariantDegeneratesToBatchSolver) {
+TEST(PortfolioSolver, SingleVariantMatchesTheRegistrySolve) {
   const auto batch = small_batch(12);
   PortfolioConfig pc;
   pc.variants = {"algorithm1"};
   pc.eps = 0.25;
   const PortfolioResult p = PortfolioSolver().solve(batch, pc);
+  EXPECT_TRUE(p.single_variant);
 
-  BatchConfig bc;
-  bc.algorithm = "algorithm1";
-  bc.eps = 0.25;
-  const BatchResult b = BatchSolver().solve(batch, bc);
-
-  ASSERT_EQ(p.outcomes.size(), b.outcomes.size());
+  SolverConfig sc;
+  sc.eps = 0.25;
   for (std::size_t i = 0; i < p.outcomes.size(); ++i) {
-    ASSERT_TRUE(p.outcomes[i].ok) << i;
-    EXPECT_EQ(p.outcomes[i].winner, "algorithm1");
-    EXPECT_DOUBLE_EQ(p.outcomes[i].makespan, b.outcomes[i].makespan);
-    EXPECT_DOUBLE_EQ(p.outcomes[i].lower_bound, b.outcomes[i].lower_bound);
-    EXPECT_DOUBLE_EQ(p.outcomes[i].ratio, b.outcomes[i].ratio);
-    EXPECT_DOUBLE_EQ(p.outcomes[i].guarantee, b.outcomes[i].guarantee);
+    const core::ScheduleResult direct =
+        AlgorithmRegistry::global().solve("algorithm1", batch[i], sc);
+    const PortfolioOutcome& o = p.outcomes[i];
+    ASSERT_TRUE(o.ok) << i;
+    ASSERT_EQ(o.attempts.size(), 1u);
+    EXPECT_EQ(o.winner, "algorithm1");
+    EXPECT_EQ(o.attempts[0].solver(), "algorithm1");
+    EXPECT_DOUBLE_EQ(o.makespan, direct.makespan);
+    EXPECT_DOUBLE_EQ(o.lower_bound, direct.lower_bound);
+    EXPECT_DOUBLE_EQ(o.attempts[0].ratio, direct.ratio_vs_lower);
+    EXPECT_DOUBLE_EQ(o.guarantee, direct.guarantee);
+    EXPECT_EQ(o.attempts[0].dual_calls, direct.dual_calls);
   }
   ASSERT_EQ(p.per_variant.size(), 1u);
   EXPECT_EQ(p.per_variant[0].wins, p.solved);
@@ -280,14 +283,14 @@ TEST(PortfolioSolver, WinCountsAndLatencySplitAreConsistent) {
   std::size_t wins = 0;
   for (const VariantStats& s : r.per_variant) {
     wins += s.wins;
-    EXPECT_LE(s.wall_p50, s.wall_p99);
-    EXPECT_LE(s.wall_p99, s.wall_max);
+    EXPECT_LE(s.wall.p50, s.wall.p99);
+    EXPECT_LE(s.wall.p99, s.wall.max);
     EXPECT_GE(s.gap_mean, 0);
     EXPECT_LE(s.gap_mean, s.gap_max + 1e-12);
   }
   EXPECT_EQ(wins, r.solved);  // exactly one winner per solved instance
-  EXPECT_LE(r.queue_p50, r.queue_p99);
-  EXPECT_LE(r.queue_p99, r.queue_max);
+  EXPECT_LE(r.queue.p50, r.queue.p99);
+  EXPECT_LE(r.queue.p99, r.queue.max);
 
   for (const PortfolioOutcome& o : r.outcomes) {
     EXPECT_GE(o.queue_seconds, 0);
@@ -337,10 +340,10 @@ TEST(PortfolioSolver, WallPercentileLadderIncludesP90) {
   pc.threads = 2;
   const PortfolioResult r = PortfolioSolver().solve(batch, pc);
   for (const VariantStats& s : r.per_variant) {
-    EXPECT_LE(s.wall_p50, s.wall_p90) << s.algorithm;
-    EXPECT_LE(s.wall_p90, s.wall_p99) << s.algorithm;
-    EXPECT_LE(s.wall_p99, s.wall_max) << s.algorithm;
-    EXPECT_GT(s.wall_p90, 0) << s.algorithm;  // 30 attempts: p90 is a real sample
+    EXPECT_LE(s.wall.p50, s.wall.p90) << s.algorithm;
+    EXPECT_LE(s.wall.p90, s.wall.p99) << s.algorithm;
+    EXPECT_LE(s.wall.p99, s.wall.max) << s.algorithm;
+    EXPECT_GT(s.wall.p90, 0) << s.algorithm;  // 30 attempts: p90 is a real sample
   }
 }
 
@@ -371,20 +374,19 @@ TEST(PortfolioSolver, MemoServesDuplicatesWithUnchangedDigest) {
   EXPECT_EQ(replay.digest(), plain.digest());
 }
 
-TEST(PortfolioSolver, ZeroJobInstanceMatchesBatchSolverRatioConvention) {
-  // A zero-job instance has lower bound 0; both engines must report the
-  // core convention (ratio 1), or the single-variant equivalence breaks.
+TEST(PortfolioSolver, ZeroJobInstanceReportsRatioOne) {
+  // A zero-job instance has lower bound 0; the engine must report the core
+  // convention (ratio 1) on the outcome as on the attempt.
   const std::vector<Instance> batch{Instance({}, 4, "empty")};
   PortfolioConfig pc;
   pc.variants = {"lt-2approx"};
   const PortfolioResult p = PortfolioSolver().solve(batch, pc);
-  BatchConfig bc;
-  bc.algorithm = "lt-2approx";
-  const BatchResult b = BatchSolver().solve(batch, bc);
+  const core::ScheduleResult direct =
+      AlgorithmRegistry::global().solve("lt-2approx", batch[0], {});
   ASSERT_TRUE(p.outcomes[0].ok) << p.outcomes[0].attempts[0].error;
-  ASSERT_TRUE(b.outcomes[0].ok) << b.outcomes[0].error;
-  EXPECT_DOUBLE_EQ(p.outcomes[0].ratio, b.outcomes[0].ratio);
-  EXPECT_DOUBLE_EQ(p.outcomes[0].makespan, b.outcomes[0].makespan);
+  EXPECT_DOUBLE_EQ(p.outcomes[0].ratio, 1.0);
+  EXPECT_DOUBLE_EQ(p.outcomes[0].attempts[0].ratio, direct.ratio_vs_lower);
+  EXPECT_DOUBLE_EQ(p.outcomes[0].makespan, direct.makespan);
 }
 
 TEST(PortfolioSolver, EmptyBatch) {
@@ -397,6 +399,289 @@ TEST(PortfolioSolver, EmptyBatch) {
   ASSERT_EQ(r.per_variant.size(), 1u);
   EXPECT_EQ(r.per_variant[0].wins, 0u);
   EXPECT_EQ(r.digest(), PortfolioSolver().solve({}, pc).digest());
+}
+
+// ------------------------------------------ one-variant single-solver mode --
+
+TEST(PortfolioSolver, OneVariantMatchesDirectSolve) {
+  const Instance inst = make_instance(Family::kPowerLaw, 24, 128, 11);
+  PortfolioConfig config;
+  config.variants = {"algorithm3-linear"};
+  config.eps = 0.25;
+  const PortfolioResult r = PortfolioSolver().solve({inst}, config);
+  ASSERT_EQ(r.outcomes.size(), 1u);
+  ASSERT_TRUE(r.outcomes[0].ok) << r.outcomes[0].attempts[0].error;
+
+  const core::ScheduleResult direct =
+      core::schedule_moldable(inst, 0.25, core::Algorithm::kBoundedLinear);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].makespan, direct.makespan);
+  EXPECT_DOUBLE_EQ(r.outcomes[0].lower_bound, direct.lower_bound);
+  EXPECT_EQ(r.outcomes[0].attempts[0].solver(), "algorithm3-linear");
+  EXPECT_EQ(r.solved, 1u);
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  EXPECT_EQ(r.per_variant[0].solved, 1u);
+  EXPECT_DOUBLE_EQ(r.per_variant[0].ratio.p50, r.outcomes[0].attempts[0].ratio);
+  EXPECT_DOUBLE_EQ(r.per_variant[0].ratio.max, r.outcomes[0].attempts[0].ratio);
+}
+
+TEST(PortfolioSolver, OneVariantEmptyBatch) {
+  PortfolioConfig config;
+  config.variants = {"auto"};
+  const PortfolioResult r = PortfolioSolver().solve({}, config);
+  EXPECT_TRUE(r.outcomes.empty());
+  EXPECT_EQ(r.solved, 0u);
+  EXPECT_EQ(r.failed, 0u);
+  for (const VariantStats& s : r.per_variant) {
+    EXPECT_EQ(s.wins, 0u);
+    EXPECT_EQ(s.solved, 0u);
+    EXPECT_EQ(s.failed, 0u);
+  }
+  EXPECT_EQ(r.digest(), PortfolioSolver().solve({}, config).digest());
+}
+
+TEST(PortfolioSolver, OneVariantInvalidConfigThrowsUpFront) {
+  const auto batch = small_batch(2);
+  PortfolioConfig bad_name;
+  bad_name.variants = {"no-such-solver"};
+  EXPECT_THROW(PortfolioSolver().solve(batch, bad_name), std::invalid_argument);
+  PortfolioConfig bad_eps;
+  bad_eps.variants = {"auto"};
+  bad_eps.eps = 0;
+  EXPECT_THROW(PortfolioSolver().solve(batch, bad_eps), std::invalid_argument);
+  bad_eps.eps = 1.5;
+  EXPECT_THROW(PortfolioSolver().solve(batch, bad_eps), std::invalid_argument);
+}
+
+TEST(PortfolioSolver, OneVariantDeterministicAcrossThreadCounts) {
+  const auto batch = small_batch(24);
+  for (const char* algorithm : {"auto", "algorithm1", "lt-2approx"}) {
+    PortfolioConfig serial;
+    serial.variants = {algorithm};
+    serial.threads = 1;
+    PortfolioConfig parallel = serial;
+    parallel.threads = 5;
+
+    const PortfolioResult a = PortfolioSolver().solve(batch, serial);
+    const PortfolioResult b = PortfolioSolver().solve(batch, parallel);
+    EXPECT_EQ(a.digest(), b.digest()) << algorithm;
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+    for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+      EXPECT_EQ(a.outcomes[i].ok, b.outcomes[i].ok);
+      EXPECT_EQ(a.outcomes[i].attempts[0].solver(), b.outcomes[i].attempts[0].solver());
+      EXPECT_DOUBLE_EQ(a.outcomes[i].makespan, b.outcomes[i].makespan);
+      EXPECT_DOUBLE_EQ(a.outcomes[i].ratio, b.outcomes[i].ratio);
+    }
+  }
+}
+
+TEST(PortfolioSolver, OneVariantAutoResolvesPerInstanceAndSplitsItsStats) {
+  // n=4 on m=512 is deep in the FPTAS regime; n=64 on m=64 is not. Under
+  // "auto" the two must resolve to different solvers, digest under their
+  // resolved names, and split the stats table by them.
+  std::vector<Instance> batch;
+  batch.push_back(make_instance(Family::kAmdahl, 4, 512, 3));
+  batch.push_back(make_instance(Family::kAmdahl, 64, 64, 3));
+  PortfolioConfig config;
+  config.variants = {"auto"};
+  config.eps = 0.5;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  ASSERT_EQ(r.solved, 2u);
+  EXPECT_EQ(r.outcomes[0].attempts[0].solver(), "fptas");
+  EXPECT_EQ(r.outcomes[1].attempts[0].solver(), "algorithm3-linear");
+  EXPECT_EQ(r.outcomes[0].attempts[0].algorithm, "auto");
+  ASSERT_EQ(r.per_variant.size(), 2u);
+  EXPECT_EQ(r.per_variant[0].variant, "auto");
+  EXPECT_EQ(r.per_variant[0].algorithm, "algorithm3-linear");
+  EXPECT_EQ(r.per_variant[1].algorithm, "fptas");
+  EXPECT_EQ(r.per_variant[0].wins + r.per_variant[1].wins, 2u);
+
+  // The resolved name is digest-covered (the single-solver layout).
+  PortfolioResult relabelled = r;
+  relabelled.outcomes[0].attempts[0].resolved.clear();
+  EXPECT_NE(relabelled.digest(), r.digest());
+}
+
+TEST(PortfolioSolver, OneVariantFailureIsIsolatedToTheOffendingInstance) {
+  // `exact` hard-caps at n <= 7, m <= 8: the middle instance violates the
+  // cap and must fail alone while its neighbours solve.
+  std::vector<Instance> batch;
+  batch.push_back(make_instance(Family::kMixed, 4, 8, 21));
+  batch.push_back(make_instance(Family::kMixed, 40, 64, 22));  // over the caps
+  batch.push_back(make_instance(Family::kMixed, 4, 8, 23));
+  PortfolioConfig config;
+  config.variants = {"exact"};
+  config.threads = 2;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(r.solved, 2u);
+  EXPECT_EQ(r.failed, 1u);
+  EXPECT_TRUE(r.outcomes[0].ok);
+  EXPECT_FALSE(r.outcomes[1].ok);
+  EXPECT_FALSE(r.outcomes[1].attempts[0].error.empty());
+  EXPECT_TRUE(r.outcomes[2].ok);
+  EXPECT_EQ(r.cancelled_attempts, 0u);
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  EXPECT_EQ(r.per_variant[0].solved, 2u);
+  EXPECT_EQ(r.per_variant[0].failed, 1u);
+}
+
+TEST(PortfolioSolver, OneVariantCapabilityErrorIsIsolatedPerInstance) {
+  // A memory-capped instance routed to a blind variant yields the named
+  // capability error on that slot alone — the batch itself never aborts.
+  std::vector<Instance> batch = small_batch(2, 8);
+  batch.insert(batch.begin() + 1, memory_capped(5));
+  PortfolioConfig config;
+  config.variants = {"lt-2approx"};
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(r.solved, 2u);
+  EXPECT_EQ(r.failed, 1u);
+  EXPECT_TRUE(r.outcomes[0].ok);
+  ASSERT_FALSE(r.outcomes[1].ok);
+  EXPECT_NE(r.outcomes[1].attempts[0].error.find("capability:"), std::string::npos)
+      << r.outcomes[1].attempts[0].error;
+  EXPECT_TRUE(r.outcomes[2].ok);
+}
+
+TEST(PortfolioSolver, MemoryAwareVariantIsDeterministicAcrossThreadCounts) {
+  std::vector<Instance> batch;
+  for (std::size_t i = 0; i < 12; ++i) batch.push_back(memory_capped(50 + i));
+  for (const char* algorithm : {"mem-greedy", "mem-exact"}) {
+    PortfolioConfig serial;
+    serial.variants = {algorithm};
+    serial.eps = 0.5;
+    serial.threads = 1;
+    PortfolioConfig parallel = serial;
+    parallel.threads = 4;
+    const PortfolioResult a = PortfolioSolver().solve(batch, serial);
+    const PortfolioResult b = PortfolioSolver().solve(batch, parallel);
+    EXPECT_EQ(a.failed, 0u) << algorithm;
+    EXPECT_EQ(a.digest(), b.digest()) << algorithm;
+  }
+}
+
+TEST(PortfolioSolver, RatioLadderIsOrderedAndWithinTheGuarantee) {
+  const auto batch = small_batch(40);
+  PortfolioConfig config;
+  config.variants = {"lt-2approx"};
+  config.threads = 3;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  const VariantStats& s = r.per_variant[0];
+  EXPECT_EQ(s.solved, 40u);
+  EXPECT_LE(s.ratio.p50, s.ratio.p90);
+  EXPECT_LE(s.ratio.p90, s.ratio.p99);
+  EXPECT_LE(s.ratio.p99, s.ratio.max);
+  EXPECT_LE(s.ratio_mean, s.ratio.max);
+  EXPECT_GE(s.ratio.p50, 1.0 - 1e-9);
+  EXPECT_LE(s.ratio.max, 2.0 + 1e-9);  // Ludwig-Tiwari guarantee
+  EXPECT_LE(s.wall.p50, s.wall.max);
+}
+
+TEST(PortfolioSolver, OneVariantMemoServesDuplicatesWithUnchangedDigest) {
+  auto batch = small_batch(5);
+  batch.push_back(batch[1]);  // two intra-batch duplicates
+  batch.push_back(batch[3]);
+  PortfolioConfig config;
+  config.variants = {"lt-2approx"};
+  config.threads = 3;
+
+  const PortfolioResult plain = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(plain.memo_hits, 0u);  // no store, no tally
+
+  exec::MemoStore<PortfolioOutcome> store;
+  const PortfolioResult memo = PortfolioSolver().solve(batch, config, &store);
+  EXPECT_EQ(memo.memo_hits, 2u);
+  EXPECT_EQ(memo.memo_misses, 5u);
+  EXPECT_EQ(store.size(), 5u);
+  // Memoization must not move any algorithmic output: identical digest,
+  // identical per-outcome fields, fresh index stamps on the served slots.
+  EXPECT_EQ(memo.digest(), plain.digest());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(memo.outcomes[i].index, i);
+    EXPECT_DOUBLE_EQ(memo.outcomes[i].makespan, plain.outcomes[i].makespan);
+  }
+  // Served slots did not solve: zero compute, and the originals kept theirs.
+  EXPECT_DOUBLE_EQ(memo.outcomes[5].compute_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(memo.outcomes[6].compute_seconds, 0.0);
+  EXPECT_GT(memo.outcomes[1].compute_seconds, 0.0);
+
+  // Cross-batch reuse: a replay against the same store is all hits, and the
+  // hit/miss tallies are thread-count independent (the plan is serial).
+  PortfolioConfig serial = config;
+  serial.threads = 1;
+  exec::MemoStore<PortfolioOutcome> store2;
+  EXPECT_EQ(PortfolioSolver().solve(batch, serial, &store2).memo_hits, memo.memo_hits);
+  const PortfolioResult replay = PortfolioSolver().solve(batch, config, &store);
+  EXPECT_EQ(replay.memo_hits, batch.size());
+  EXPECT_EQ(replay.memo_misses, 0u);
+  EXPECT_EQ(replay.digest(), plain.digest());
+}
+
+TEST(PortfolioSolver, MemoKeyDistinguishesConfigs) {
+  // The same instance under a different variant list or eps must not alias
+  // in the store: the config is folded into every memo key.
+  const auto batch = small_batch(2);
+  exec::MemoStore<PortfolioOutcome> store;
+  PortfolioConfig a;
+  a.variants = {"lt-2approx"};
+  EXPECT_EQ(PortfolioSolver().solve(batch, a, &store).memo_hits, 0u);
+
+  PortfolioConfig b = a;
+  b.eps = 0.5;
+  EXPECT_EQ(PortfolioSolver().solve(batch, b, &store).memo_hits, 0u);
+
+  PortfolioConfig c = a;
+  c.variants = {"mrt"};
+  EXPECT_EQ(PortfolioSolver().solve(batch, c, &store).memo_hits, 0u);
+
+  PortfolioConfig d = a;
+  d.variants = {"lt-2approx", "mrt"};  // a portfolio that starts with it
+  EXPECT_EQ(PortfolioSolver().solve(batch, d, &store).memo_hits, 0u);
+
+  // The original config still hits.
+  EXPECT_EQ(PortfolioSolver().solve(batch, a, &store).memo_hits, batch.size());
+}
+
+TEST(PortfolioSolver, MemoizedFailuresAreServedToo) {
+  // A failing instance (exact over its caps) is cached like any other
+  // outcome — replaying it must not re-run the doomed solve or change
+  // counts.
+  std::vector<Instance> batch;
+  batch.push_back(make_instance(Family::kMixed, 40, 64, 22));  // over the caps
+  batch.push_back(make_instance(Family::kMixed, 40, 64, 22));  // duplicate
+  PortfolioConfig config;
+  config.variants = {"exact"};
+  exec::MemoStore<PortfolioOutcome> store;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config, &store);
+  EXPECT_EQ(r.failed, 2u);
+  EXPECT_EQ(r.memo_hits, 1u);
+  EXPECT_FALSE(r.outcomes[1].ok);
+  EXPECT_EQ(r.outcomes[1].attempts[0].error, r.outcomes[0].attempts[0].error);
+}
+
+TEST(PortfolioSolver, QueueAndComputeLatenciesAreSplit) {
+  const auto batch = small_batch(30);
+  PortfolioConfig config;
+  config.variants = {"lt-2approx"};
+  config.threads = 2;
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+
+  for (const PortfolioOutcome& o : r.outcomes) {
+    EXPECT_GE(o.queue_seconds, 0) << o.index;
+    EXPECT_GE(o.compute_seconds, 0) << o.index;
+    // Pickup cannot come after the whole-batch wall clock.
+    EXPECT_LE(o.queue_seconds, r.wall_seconds + 1e-6) << o.index;
+  }
+  ASSERT_EQ(r.per_variant.size(), 1u);
+  const VariantStats& s = r.per_variant[0];
+  EXPECT_LE(s.queue.p50, s.queue.p90);
+  EXPECT_LE(s.queue.p90, s.queue.p99);
+  EXPECT_LE(s.queue.p99, s.queue.max);
+  // On 2 threads over 30 instances some instance queues behind its shard.
+  EXPECT_GT(s.queue.max, 0);
+
+  // The latency fields must not leak into the digest: same batch + config
+  // re-solved gives the same digest even though timings differ.
+  EXPECT_EQ(r.digest(), PortfolioSolver().solve(batch, config).digest());
 }
 
 // ------------------------------------------------ early-cancel rule (mock) --

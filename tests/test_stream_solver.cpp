@@ -11,7 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/engine/batch_solver.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/engine/stream_solver.hpp"
 #include "src/jobs/generators.hpp"
@@ -44,6 +43,15 @@ std::string to_stream(const std::vector<Instance>& instances) {
 StreamResult run_stream(const std::string& text, const StreamConfig& config) {
   std::istringstream input(text);
   return StreamSolver().run(input, config);
+}
+
+/// The one-shot single-solver digest of `batch`: the batch engine's
+/// one-variant mode, as StreamConfig::algorithm runs it.
+std::uint64_t one_shot_digest(const std::vector<Instance>& batch,
+                              const std::string& algorithm = "auto") {
+  PortfolioConfig config;
+  config.variants = {algorithm};
+  return PortfolioSolver().solve(batch, config).digest();
 }
 
 TEST(StreamSolver, WindowBoundaries) {
@@ -80,20 +88,21 @@ TEST(StreamSolver, EmptyStreamMatchesEmptyBatch) {
   EXPECT_EQ(r.windows, 0u);
   EXPECT_EQ(r.instances, 0u);
   EXPECT_EQ(r.malformed, 0u);
-  EXPECT_EQ(r.rolling_digest, BatchSolver().solve({}, {}).digest());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest({}));
 }
 
 TEST(StreamSolver, RollingDigestEqualsOneShotBatchDigest) {
   // No arrival metadata -> the stable sort preserves stream order, so the
   // concatenated windows are exactly the input batch, and the rolling
-  // digest must equal BatchSolver's one-shot digest over it — the window
+  // digest must equal the engine's one-shot digest over it — the window
   // cuts must leave no trace.
   const auto batch = small_batch(11);
   const std::string text = to_stream(batch);
 
-  BatchConfig one_shot;
+  PortfolioConfig one_shot;
+  one_shot.variants = {"auto"};
   one_shot.threads = 3;
-  const std::uint64_t expected = BatchSolver().solve(batch, one_shot).digest();
+  const std::uint64_t expected = PortfolioSolver().solve(batch, one_shot).digest();
 
   for (const std::size_t window : {1ul, 3ul, 4ul, 11ul, 64ul}) {
     StreamConfig config;
@@ -143,7 +152,7 @@ TEST(StreamSolver, MalformedRecordIsIsolatedMidStream) {
 
   // The skipped record must leave no trace in the digest: the stream result
   // equals a one-shot batch over just the two good instances.
-  EXPECT_EQ(r.rolling_digest, BatchSolver().solve(good, {}).digest());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest(good));
 }
 
 TEST(StreamSolver, StrayTextOutsideRecordsIsReportedNotSilentlySkipped) {
@@ -168,8 +177,8 @@ TEST(StreamSolver, ArrivalOrdersWindowsInsideTheHorizon) {
   const std::string text = to_stream(batch);
 
   std::vector<Instance> by_arrival(batch.rbegin(), batch.rend());
-  const std::uint64_t sorted_digest = BatchSolver().solve(by_arrival, {}).digest();
-  const std::uint64_t stream_order_digest = BatchSolver().solve(batch, {}).digest();
+  const std::uint64_t sorted_digest = one_shot_digest(by_arrival);
+  const std::uint64_t stream_order_digest = one_shot_digest(batch);
   ASSERT_NE(sorted_digest, stream_order_digest);  // distinct instances: orders differ
 
   StreamConfig config;
@@ -190,7 +199,7 @@ TEST(StreamSolver, ReorderHorizonIsBounded) {
   config.window = 1;
   config.max_inflight = 1;
   const StreamResult r = run_stream(to_stream(batch), config);
-  EXPECT_EQ(r.rolling_digest, BatchSolver().solve(batch, {}).digest());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest(batch));
 }
 
 TEST(StreamSolver, MemoServesDuplicatesWithUnchangedDigest) {
@@ -322,8 +331,8 @@ TEST(StreamSolver, DeadlineClassJumpsTheReorderBuffer) {
   const std::string text = to_stream(batch);
 
   std::vector<Instance> jumped = {batch[3], batch[0], batch[1], batch[2]};
-  const std::uint64_t jumped_digest = BatchSolver().solve(jumped, {}).digest();
-  const std::uint64_t stream_order_digest = BatchSolver().solve(batch, {}).digest();
+  const std::uint64_t jumped_digest = one_shot_digest(jumped);
+  const std::uint64_t stream_order_digest = one_shot_digest(batch);
   ASSERT_NE(jumped_digest, stream_order_digest);
 
   StreamConfig config;
@@ -354,7 +363,7 @@ TEST(StreamSolver, EarlierDeadlineWinsWithinADeadlineClass) {
   config.window = 3;
   config.class_deadlines["interactive"] = 2.0;
   EXPECT_EQ(run_stream(text, config).rolling_digest,
-            BatchSolver().solve(expected, {}).digest());
+            one_shot_digest(expected));
 }
 
 TEST(StreamSolver, DeadlineMissesAreCountedPerClassAndPerWindow) {
@@ -476,11 +485,7 @@ TEST(StreamSolver, PerInstanceFailureIsIsolated) {
   const StreamResult r = run_stream(to_stream(batch), config);
   EXPECT_EQ(r.solved, 2u);
   EXPECT_EQ(r.failed, 1u);
-  EXPECT_EQ(r.rolling_digest, [&] {
-    BatchConfig bc;
-    bc.algorithm = "exact";
-    return BatchSolver().solve(batch, bc).digest();
-  }());
+  EXPECT_EQ(r.rolling_digest, one_shot_digest(batch, "exact"));
 }
 
 TEST(StreamSolver, InvalidConfigThrowsBeforeConsumingInput) {
@@ -528,6 +533,84 @@ TEST(StreamSolver, InvalidConfigThrowsBeforeConsumingInput) {
   infinite_deadline.class_deadlines["interactive"] =
       std::numeric_limits<double>::infinity();
   expect_throw_without_reading(infinite_deadline);
+}
+
+TEST(StreamSolver, WindowTimesInflightOverflowIsRejectedUpFront) {
+  // window × max_inflight sizes the reorder buffer. A product that wraps
+  // (2^32 × 2^32 == 0 in 64 bits) used to shrink the buffer to nothing and
+  // serve an empty stream; it must be a config error before any input is
+  // read.
+  const std::string text = to_stream(small_batch(3));
+  StreamConfig config;
+  config.window = std::size_t{1} << 32;
+  config.max_inflight = std::size_t{1} << 32;
+  std::istringstream input(text);
+  try {
+    StreamSolver().run(input, config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("max-inflight overflows"), std::string::npos)
+        << e.what();
+  }
+  jobs::InstanceStreamReader reader(input);
+  jobs::StreamRecord record;
+  std::size_t records = 0;
+  while (reader.next(record)) ++records;
+  EXPECT_EQ(records, 3u);
+
+  // The largest product that still fits serves every record.
+  config.window = std::numeric_limits<std::size_t>::max();
+  config.max_inflight = 1;
+  const StreamResult r = run_stream(text, config);
+  EXPECT_EQ(r.instances, 3u);
+  EXPECT_EQ(r.solved, 3u);
+}
+
+TEST(StreamSolver, SingleSolverModeRejectsInvalidSchedules) {
+  // Every served schedule passes sched::validate, in single-solver mode
+  // too: a registry entry that returns a schedule missing a job fails each
+  // instance instead of being served.
+  AlgorithmRegistry registry = AlgorithmRegistry::global();
+  registry.add("drops-a-job", [](const Instance& i, const SolverConfig&) {
+    core::ScheduleResult r;
+    for (std::size_t j = 1; j < i.size(); ++j) r.schedule.add({j, 0, 1, i.job(j).time(1)});
+    r.makespan = r.lower_bound = r.ratio_vs_lower = r.guarantee = 1;
+    return r;
+  });
+  const auto batch = small_batch(4);
+  StreamConfig config;
+  config.algorithm = "drops-a-job";
+  config.window = 3;
+  std::istringstream input(to_stream(batch));
+  const StreamResult r = StreamSolver(registry).run(input, config);
+  EXPECT_EQ(r.instances, 4u);
+  EXPECT_EQ(r.solved, 0u);
+  EXPECT_EQ(r.failed, 4u);
+
+  PortfolioConfig one_shot;
+  one_shot.variants = {"drops-a-job"};
+  const PortfolioResult p = PortfolioSolver(registry).solve(batch, one_shot);
+  for (const PortfolioOutcome& o : p.outcomes)
+    EXPECT_EQ(o.attempts[0].error.rfind("invalid schedule:", 0), 0u) << o.attempts[0].error;
+  EXPECT_EQ(r.rolling_digest, p.digest());
+}
+
+TEST(StreamSolver, OneVariantPortfolioIsTheSingleSolverRun) {
+  // `--portfolio X` and `--algorithm X` are two spellings of one run: same
+  // rolling digest, same counters, no early-cancel.
+  const std::string text = to_stream(small_batch(9));
+  StreamConfig single;
+  single.window = 4;
+  single.algorithm = "algorithm1";
+  StreamConfig portfolio = single;
+  portfolio.algorithm = "auto";  // ignored once variants is set
+  portfolio.variants = {"algorithm1"};
+  const StreamResult a = run_stream(text, single);
+  const StreamResult b = run_stream(text, portfolio);
+  EXPECT_EQ(a.rolling_digest, b.rolling_digest);
+  EXPECT_EQ(a.solved, b.solved);
+  EXPECT_EQ(b.cancelled_attempts, 0u);
+  EXPECT_EQ(a.rolling_digest, one_shot_digest(small_batch(9), "algorithm1"));
 }
 
 // ---------------------------------------------------------- record/replay --
@@ -637,6 +720,25 @@ TEST(StreamRecordReplay, FourThreadSessionReplaysBitExactOnOneThread) {
   expect_replays_bit_exact(loaded, live);
 }
 
+/// `record_text` with `suffix` appended to its `# serve` line (a later key
+/// overrides the recorded one).
+std::string with_serve_suffix(const std::string& record_text, const std::string& suffix) {
+  std::string text = record_text;
+  text.insert(text.find('\n', text.find("# serve ")), suffix);
+  return text;
+}
+
+/// Loads `text` and returns the load_record diagnostic ("" when it loaded).
+std::string load_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    traffic::load_record(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(StreamRecordReplay, LegacyRaceKeysAreValidatedThenIgnored) {
   // Older recorders wrote `race=` / `race-width=` into the serve line. Those
   // knobs only ever changed wall-clock, so a session carrying them must
@@ -651,19 +753,40 @@ TEST(StreamRecordReplay, LegacyRaceKeysAreValidatedThenIgnored) {
   EXPECT_EQ(record_text.substr(serve, eol - serve).find("race"), std::string::npos)
       << "the recorder must no longer write race keys";
 
-  const auto with_serve_suffix = [&](const std::string& suffix) {
-    std::string text = record_text;
-    text.insert(eol, suffix);
-    return text;
-  };
-  std::istringstream legacy(with_serve_suffix(" race=1 race-width=2"));
+  std::istringstream legacy(with_serve_suffix(record_text, " race=1 race-width=2"));
   const traffic::ReplayFile loaded = traffic::load_record(legacy);
   expect_replays_bit_exact(loaded, live);
 
-  std::istringstream malformed(with_serve_suffix(" race=x"));
+  std::istringstream malformed(with_serve_suffix(record_text, " race=x"));
   EXPECT_THROW(traffic::load_record(malformed), std::runtime_error);
-  std::istringstream malformed_width(with_serve_suffix(" race-width=2x"));
+  std::istringstream malformed_width(with_serve_suffix(record_text, " race-width=2x"));
   EXPECT_THROW(traffic::load_record(malformed_width), std::runtime_error);
+}
+
+TEST(StreamRecordReplay, NegativeWindowIsRejectedNotWrapped) {
+  // stoull reads "-1" as 2^64 - 1: the replay then died sizing the reorder
+  // buffer. A signed count is a corrupted record, named as such.
+  const std::string record_text = record_session(recordable_stream(), recordable_config(1)).first;
+  EXPECT_EQ(load_error(with_serve_suffix(record_text, " window=-1")),
+            "record: invalid window value '-1'");
+}
+
+TEST(StreamRecordReplay, NegativeWindowAndInflightAreRejectedNotWrapped) {
+  // window=-16 max-inflight=-4 wrapped to a product of 64 and replayed "OK"
+  // under a window that was never recorded. Signs of either kind are
+  // rejected, on every count field.
+  const std::string record_text = record_session(recordable_stream(), recordable_config(1)).first;
+  EXPECT_EQ(load_error(with_serve_suffix(record_text, " window=-16 max-inflight=-4")),
+            "record: invalid window value '-16'");
+  EXPECT_EQ(load_error(with_serve_suffix(record_text, " max-inflight=-4")),
+            "record: invalid max-inflight value '-4'");
+  EXPECT_EQ(load_error(with_serve_suffix(record_text, " window=+4")),
+            "record: invalid window value '+4'");
+  EXPECT_EQ(load_error(with_serve_suffix(record_text, " memo-capacity=-1")),
+            "record: invalid memo-capacity value '-1'");
+  EXPECT_EQ(load_error(with_serve_suffix(record_text, " window=18446744073709551616")),
+            "record: invalid window value '18446744073709551616'");
+  EXPECT_EQ(load_error(with_serve_suffix(record_text, " window=4")), "");
 }
 
 TEST(StreamRecordReplay, RecordBodyIsTheCanonicalReadOrderStream) {
