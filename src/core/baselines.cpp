@@ -9,19 +9,22 @@
 
 namespace moldable::core {
 
-BaselineResult ludwig_tiwari_schedule(const jobs::Instance& instance) {
+BaselineResult ludwig_tiwari_schedule(const jobs::Instance& instance,
+                                      const EstimatorResult* estimate) {
   BaselineResult out;
   if (instance.size() == 0) return out;
-  const EstimatorResult est = estimate_makespan(instance);
+  EstimatorResult own;
+  const EstimatorResult& est = estimate ? *estimate : (own = estimate_makespan(instance));
   out.lower_bound = est.omega;
   out.schedule = sched::list_schedule(instance, est.allotment);
   return out;
 }
 
-BaselineResult memory_greedy_schedule(const jobs::Instance& instance) {
+BaselineResult memory_greedy_schedule(const jobs::Instance& instance,
+                                      const EstimatorResult* estimate) {
   BaselineResult out;
   if (instance.size() == 0) return out;
-  EstimatorResult est = estimate_makespan(instance);
+  EstimatorResult est = estimate ? *estimate : estimate_makespan(instance);
   const procs_t m = instance.machines();
   for (std::size_t j = 0; j < instance.size(); ++j) {
     const procs_t kmin = instance.min_feasible_allotment(j);

@@ -10,6 +10,7 @@
 //     naive static partitioning HPC schedulers sometimes use.
 #pragma once
 
+#include "src/core/estimator.hpp"
 #include "src/jobs/instance.hpp"
 #include "src/sched/schedule.hpp"
 
@@ -21,7 +22,10 @@ struct BaselineResult {
 };
 
 /// Estimator allotment + list scheduling: makespan <= 2 * OPT.
-BaselineResult ludwig_tiwari_schedule(const jobs::Instance& instance);
+/// `estimate`: the instance's estimate_makespan result when the caller
+/// holds it (null runs the estimator here); it never changes the result.
+BaselineResult ludwig_tiwari_schedule(const jobs::Instance& instance,
+                                      const EstimatorResult* estimate = nullptr);
 
 /// Memory-aware greedy: the estimator's minimizing allotment, clamped up
 /// per job to the smallest memory-feasible allotment kmin_j, then list
@@ -29,7 +33,10 @@ BaselineResult ludwig_tiwari_schedule(const jobs::Instance& instance);
 /// ludwig_tiwari_schedule (kmin_j == 1 everywhere). The lower bound is
 /// max(omega, memory_lower_bound), both certified. Throws
 /// std::invalid_argument when some job is memory-infeasible (kmin_j > m).
-BaselineResult memory_greedy_schedule(const jobs::Instance& instance);
+/// `estimate`: the instance's estimate_makespan result when the caller
+/// holds it (null runs the estimator here); it never changes the result.
+BaselineResult memory_greedy_schedule(const jobs::Instance& instance,
+                                      const EstimatorResult* estimate = nullptr);
 
 /// Every job sequential, list scheduled. No approximation guarantee.
 BaselineResult sequential_schedule(const jobs::Instance& instance);

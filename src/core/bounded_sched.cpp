@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/estimator.hpp"
 #include "src/core/pipeline.hpp"
@@ -74,17 +75,18 @@ DualOutcome bounded_dual(const jobs::Instance& instance, double d, double eps,
   return DualOutcome::accept(std::move(*schedule));
 }
 
-BoundedSchedResult bounded_schedule(const jobs::Instance& instance, double eps, bool linear) {
+BoundedSchedResult bounded_schedule(const jobs::Instance& instance, double eps, bool linear,
+                                    const EstimatorResult* estimate) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("bounded_schedule: eps in (0, 1]");
   if (instance.size() == 0) return {};
   const double eps_d = eps / 2;
   const double eps_s = (eps / 2) / (1.5 + eps_d);
-  const EstimatorResult est = estimate_makespan(instance);
+  const double omega = estimate ? estimate->omega : estimate_makespan(instance).omega;
   const BoundedDualOptions opts{linear};
-  const DualSearchResult sr = dual_search(
-      [&](double d) { return bounded_dual(instance, d, eps_d, opts); }, est.omega, eps_s);
-  return {sr.schedule, sr.lower_bound, sr.dual_calls};
+  DualSearchResult sr = dual_search(
+      [&](double d) { return bounded_dual(instance, d, eps_d, opts); }, omega, eps_s);
+  return {std::move(sr.schedule), sr.lower_bound, sr.dual_calls};
 }
 
 }  // namespace moldable::core

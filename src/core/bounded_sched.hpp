@@ -21,6 +21,7 @@
 #pragma once
 
 #include "src/core/dual_search.hpp"
+#include "src/core/estimator.hpp"
 #include "src/jobs/instance.hpp"
 
 namespace moldable::core {
@@ -41,7 +42,10 @@ struct BoundedSchedResult {
 
 /// Full (3/2 + eps)-approximation via estimator + bisection; `linear`
 /// selects the Section 4.3.3 variant (Table 1, row 3 vs row 2).
+/// `estimate`: the instance's estimate_makespan result when the caller
+/// holds it (null runs the estimator here); it never changes the result.
 BoundedSchedResult bounded_schedule(const jobs::Instance& instance, double eps,
-                                    bool linear = false);
+                                    bool linear = false,
+                                    const EstimatorResult* estimate = nullptr);
 
 }  // namespace moldable::core

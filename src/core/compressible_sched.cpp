@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/estimator.hpp"
 #include "src/core/pipeline.hpp"
@@ -68,7 +69,8 @@ DualOutcome compressible_dual(const jobs::Instance& instance, double d, double e
   return DualOutcome::accept(std::move(*schedule));
 }
 
-CompressibleSchedResult compressible_schedule(const jobs::Instance& instance, double eps) {
+CompressibleSchedResult compressible_schedule(const jobs::Instance& instance, double eps,
+                                              const EstimatorResult* estimate) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("compressible_schedule: eps in (0, 1]");
   if (instance.size() == 0) return {};
@@ -76,10 +78,10 @@ CompressibleSchedResult compressible_schedule(const jobs::Instance& instance, do
   // (3/2 + eps_d)(1 + eps_s) <= 3/2 + eps.
   const double eps_d = eps / 2;
   const double eps_s = (eps / 2) / (1.5 + eps_d);
-  const EstimatorResult est = estimate_makespan(instance);
-  const DualSearchResult sr = dual_search(
-      [&](double d) { return compressible_dual(instance, d, eps_d); }, est.omega, eps_s);
-  return {sr.schedule, sr.lower_bound, sr.dual_calls};
+  const double omega = estimate ? estimate->omega : estimate_makespan(instance).omega;
+  DualSearchResult sr = dual_search(
+      [&](double d) { return compressible_dual(instance, d, eps_d); }, omega, eps_s);
+  return {std::move(sr.schedule), sr.lower_bound, sr.dual_calls};
 }
 
 }  // namespace moldable::core

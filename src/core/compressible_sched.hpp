@@ -20,6 +20,7 @@
 #pragma once
 
 #include "src/core/dual_search.hpp"
+#include "src/core/estimator.hpp"
 #include "src/jobs/instance.hpp"
 
 namespace moldable::core {
@@ -34,6 +35,9 @@ struct CompressibleSchedResult {
 };
 
 /// Full (3/2 + eps)-approximation via estimator + bisection.
-CompressibleSchedResult compressible_schedule(const jobs::Instance& instance, double eps);
+/// `estimate`: the instance's estimate_makespan result when the caller
+/// holds it (null runs the estimator here); it never changes the result.
+CompressibleSchedResult compressible_schedule(const jobs::Instance& instance, double eps,
+                                              const EstimatorResult* estimate = nullptr);
 
 }  // namespace moldable::core

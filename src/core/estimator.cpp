@@ -1,6 +1,7 @@
 #include "src/core/estimator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -9,6 +10,58 @@ namespace moldable::core {
 
 namespace {
 
+std::atomic<std::uint64_t> g_runs{0};
+
+/// One job's search state. [lo, hi] is the job's remaining candidate range
+/// (thresholds t_j(k), lo <= k <= hi); [g_lo, g_hi] brackets gamma_j(tau)
+/// for every pivot the search can still produce.
+struct JobState {
+  procs_t lo = 1, hi = 0;
+  procs_t g_lo = 1;   ///< gamma_j(last go-down pivot); 1 before any
+  procs_t g_hi = 0;   ///< gamma_j(last go-up pivot); 0 = none (no such pivot, or undefined there)
+  double t_hi = 0;    ///< t_j(g_hi)
+  procs_t g = 0;      ///< gamma_j(tau) of the latest evaluation; 0 = undefined
+  double t = 0;       ///< t_j(g)
+};
+
+/// gamma_j(tau) searched inside the job's bracket, with t_j(gamma_j)
+/// stored beside it. pred(k) = leq_tol(t_j(k), tau) is monotone in k under
+/// (P1), so the least k satisfying it is the same whatever interval the
+/// search starts from, as long as pred(top) holds and pred(below) fails.
+void search_gamma(const jobs::Job& job, double tau, JobState& s) {
+  procs_t top = s.g_hi;
+  double t_top = s.t_hi;
+  if (top == 0) {
+    if (!leq_tol(job.tmin(), tau)) {
+      s.g = 0;  // even m processors are too slow
+      return;
+    }
+    top = job.machines();
+    t_top = job.tmin();
+  }
+  procs_t below = s.g_lo - 1;  // pred(below) fails (below = 0: none known)
+  if (below == 0) {
+    if (leq_tol(job.t1(), tau)) {
+      s.g = 1;
+      s.t = job.t1();
+      return;
+    }
+    below = 1;
+  }
+  while (top - below > 1) {
+    const procs_t mid = below + (top - below) / 2;
+    const double t = job.time(mid);
+    if (leq_tol(t, tau)) {
+      top = mid;
+      t_top = t;
+    } else {
+      below = mid;
+    }
+  }
+  s.g = top;
+  s.t = t_top;
+}
+
 struct Evaluation {
   bool feasible = false;  ///< gamma defined for every job
   double avg_work = 0;
@@ -16,15 +69,21 @@ struct Evaluation {
   double omega() const { return std::max(avg_work, max_time); }
 };
 
-Evaluation evaluate(const jobs::Instance& inst, double tau) {
+/// Computes gamma_j(tau) for every job (the narrowing step reads all of
+/// them, feasible or not), then A and T from the stored (gamma_j, t_j).
+Evaluation evaluate(const jobs::Instance& inst, double tau, std::vector<JobState>& state) {
+  bool feasible = true;
+  for (std::size_t j = 0; j < state.size(); ++j) {
+    search_gamma(inst.job(j), tau, state[j]);
+    feasible = feasible && state[j].g != 0;
+  }
   Evaluation ev;
+  if (!feasible) return ev;
   double work = 0;
   double tmax = 0;
-  for (const jobs::Job& job : inst.jobs()) {
-    const auto g = job.gamma(tau);
-    if (!g) return ev;  // infeasible: some job cannot meet tau even on m
-    work += job.work(*g);
-    tmax = std::max(tmax, job.time(*g));
+  for (const JobState& s : state) {
+    work += static_cast<double>(s.g) * s.t;
+    tmax = std::max(tmax, s.t);
   }
   ev.feasible = true;
   ev.avg_work = work / static_cast<double>(inst.machines());
@@ -34,24 +93,32 @@ Evaluation evaluate(const jobs::Instance& inst, double tau) {
 
 }  // namespace
 
+std::uint64_t estimator_runs() { return g_runs.load(std::memory_order_relaxed); }
+
 EstimatorResult estimate_makespan(const jobs::Instance& inst) {
+  g_runs.fetch_add(1, std::memory_order_relaxed);
   if (inst.size() == 0)
     throw std::invalid_argument("estimate_makespan: empty instance");
   const std::size_t n = inst.size();
   const procs_t m = inst.machines();
 
+  std::vector<JobState> state(n);
+  for (JobState& s : state) s.hi = m;
+
   EstimatorResult best;
   best.omega = std::numeric_limits<double>::infinity();
+  best.allotment.resize(n);
   int evals = 0;
 
   auto consider = [&](double tau) {
-    const Evaluation ev = evaluate(inst, tau);
+    const Evaluation ev = evaluate(inst, tau, state);
     ++evals;
     if (ev.feasible && ev.omega() < best.omega) {
       best.omega = ev.omega();
       best.threshold = tau;
       best.avg_work = ev.avg_work;
       best.max_time = ev.max_time;
+      for (std::size_t j = 0; j < n; ++j) best.allotment[j] = state[j].g;
     }
     return ev;
   };
@@ -65,8 +132,9 @@ EstimatorResult estimate_makespan(const jobs::Instance& inst) {
   // thresholds are t_j(k). Weighted-median pivoting discards >= 1/4 of the
   // remaining candidates per round (ties included: both narrowing rules
   // remove candidates equal to the pivot, which has just been evaluated).
-  std::vector<procs_t> lo(n, 1), hi(n, m);
-
+  // Every later pivot therefore lies strictly between the last go-up pivot
+  // and the last go-down pivot, which is what makes the gamma brackets
+  // valid.
   struct Weighted {
     double value;
     double weight;
@@ -76,9 +144,10 @@ EstimatorResult estimate_makespan(const jobs::Instance& inst) {
     medians.clear();
     double total = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (lo[j] > hi[j]) continue;
-      const double w = static_cast<double>(hi[j] - lo[j] + 1);
-      const procs_t mid = lo[j] + (hi[j] - lo[j]) / 2;
+      const JobState& s = state[j];
+      if (s.lo > s.hi) continue;
+      const double w = static_cast<double>(s.hi - s.lo + 1);
+      const procs_t mid = s.lo + (s.hi - s.lo) / 2;
       medians.push_back({inst.job(j).time(mid), w});
       total += w;
     }
@@ -99,30 +168,33 @@ EstimatorResult estimate_makespan(const jobs::Instance& inst) {
     const Evaluation ev = consider(tau);
     const bool go_up = !ev.feasible || ev.avg_work > ev.max_time;
     for (std::size_t j = 0; j < n; ++j) {
-      if (lo[j] > hi[j]) continue;
-      const jobs::Job& job = inst.job(j);
+      JobState& s = state[j];
+      const bool active = s.lo <= s.hi;
       if (go_up) {
         // Every tau' <= tau has omega(tau') >= A(tau') >= A(tau) = omega(tau)
         // (or is infeasible): drop candidates with value <= tau, i.e. keep
-        // k < gamma_j(tau).
-        const auto g = job.gamma(tau);
-        if (g) hi[j] = std::min(hi[j], *g - 1);
+        // k < gamma_j(tau). Later pivots exceed tau, so gamma_j(tau) caps
+        // their gamma_j.
+        if (s.g == 0) continue;
+        if (active) s.hi = std::min(s.hi, s.g - 1);
+        s.g_hi = s.g;
+        s.t_hi = s.t;
       } else {
         // Every tau' >= tau has omega(tau') >= T(tau') >= T(tau) = omega(tau):
         // drop candidates with value >= tau, i.e. keep k > last_at_least(tau).
-        lo[j] = std::max(lo[j], job.last_at_least(tau) + 1);
+        // When t_j(gamma_j) < tau that is gamma_j - 1 (t_j(gamma_j - 1)
+        // exceeds tau beyond the tolerance); otherwise search for it. Later
+        // pivots fall below tau, so gamma_j(tau) floors their gamma_j.
+        if (active) {
+          const procs_t last = s.t < tau ? s.g - 1 : inst.job(j).last_at_least(tau);
+          s.lo = std::max(s.lo, last + 1);
+        }
+        s.g_lo = s.g;
       }
     }
   }
 
   check_invariant(std::isfinite(best.omega), "estimator: no feasible threshold found");
-
-  best.allotment.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto g = inst.job(j).gamma(best.threshold);
-    check_invariant(g.has_value(), "estimator: winning threshold lost feasibility");
-    best.allotment[j] = *g;
-  }
   best.evaluations = evals;
   return best;
 }

@@ -1,6 +1,7 @@
 #include "src/core/fptas.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/estimator.hpp"
 
@@ -25,7 +26,8 @@ double fptas_machine_threshold(std::size_t n, double eps) {
   return 24.0 * static_cast<double>(n) / eps;
 }
 
-FptasResult fptas_schedule(const jobs::Instance& instance, double eps) {
+FptasResult fptas_schedule(const jobs::Instance& instance, double eps,
+                           const EstimatorResult* estimate) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("fptas_schedule: eps must be in (0, 1]");
   if (instance.size() == 0) return {};
@@ -36,12 +38,12 @@ FptasResult fptas_schedule(const jobs::Instance& instance, double eps) {
         "fptas_schedule: requires m >= 24 n / eps (Theorem 2 regime); use the "
         "(3/2+eps) algorithms below the threshold");
 
-  const EstimatorResult est = estimate_makespan(instance);
-  const DualSearchResult sr = dual_search(
-      [&](double d) { return fptas_dual(instance, d, eps_d); }, est.omega, eps_s);
+  const double omega = estimate ? estimate->omega : estimate_makespan(instance).omega;
+  DualSearchResult sr = dual_search(
+      [&](double d) { return fptas_dual(instance, d, eps_d); }, omega, eps_s);
 
   FptasResult out;
-  out.schedule = sr.schedule;
+  out.schedule = std::move(sr.schedule);
   out.lower_bound = sr.lower_bound;
   out.dual_calls = sr.dual_calls;
   return out;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include "src/core/dual_search.hpp"
+#include "src/core/estimator.hpp"
 #include "src/jobs/instance.hpp"
 
 namespace moldable::core {
@@ -32,7 +33,10 @@ struct FptasResult {
 /// threshold m >= 8n/eps_d becomes 24n/eps); throws std::invalid_argument
 /// otherwise — callers below the threshold should use the (3/2 + eps)
 /// algorithms (that is the paper's Section 3.2 composition).
-FptasResult fptas_schedule(const jobs::Instance& instance, double eps);
+/// `estimate`: the instance's estimate_makespan result when the caller
+/// holds it (null runs the estimator here); it never changes the result.
+FptasResult fptas_schedule(const jobs::Instance& instance, double eps,
+                           const EstimatorResult* estimate = nullptr);
 
 /// The machine-count threshold above which fptas_schedule(eps) is valid.
 double fptas_machine_threshold(std::size_t n, double eps);

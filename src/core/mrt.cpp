@@ -1,6 +1,7 @@
 #include "src/core/mrt.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/estimator.hpp"
 #include "src/core/pipeline.hpp"
@@ -53,15 +54,16 @@ DualOutcome mrt_dual(const jobs::Instance& instance, double d) {
   return DualOutcome::accept(std::move(*schedule));
 }
 
-MrtResult mrt_schedule(const jobs::Instance& instance, double eps) {
+MrtResult mrt_schedule(const jobs::Instance& instance, double eps,
+                       const EstimatorResult* estimate) {
   if (!(eps > 0) || eps > 1) throw std::invalid_argument("mrt_schedule: eps in (0, 1]");
   if (instance.size() == 0) return {};
-  const EstimatorResult est = estimate_makespan(instance);
+  const double omega = estimate ? estimate->omega : estimate_makespan(instance).omega;
   // (3/2)(1 + eps_s) <= 3/2 + eps  <=>  eps_s = (2/3) eps.
   const double eps_s = (2.0 / 3.0) * eps;
-  const DualSearchResult sr =
-      dual_search([&](double d) { return mrt_dual(instance, d); }, est.omega, eps_s);
-  return {sr.schedule, sr.lower_bound, sr.dual_calls};
+  DualSearchResult sr =
+      dual_search([&](double d) { return mrt_dual(instance, d); }, omega, eps_s);
+  return {std::move(sr.schedule), sr.lower_bound, sr.dual_calls};
 }
 
 }  // namespace moldable::core

@@ -15,6 +15,7 @@
 #pragma once
 
 #include "src/core/dual_search.hpp"
+#include "src/core/estimator.hpp"
 #include "src/jobs/instance.hpp"
 
 namespace moldable::core {
@@ -31,6 +32,9 @@ struct MrtResult {
 
 /// Full (3/2 + eps)-approximation: estimator + dual bisection around the
 /// exact dual. Requires eps in (0, 1]. Running time O(log(1/eps) * n m).
-MrtResult mrt_schedule(const jobs::Instance& instance, double eps);
+/// `estimate`: the instance's estimate_makespan result when the caller
+/// holds it (null runs the estimator here); it never changes the result.
+MrtResult mrt_schedule(const jobs::Instance& instance, double eps,
+                       const EstimatorResult* estimate = nullptr);
 
 }  // namespace moldable::core

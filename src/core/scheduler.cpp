@@ -1,6 +1,7 @@
 #include "src/core/scheduler.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "src/core/baselines.hpp"
 #include "src/core/bounded_sched.hpp"
@@ -24,7 +25,8 @@ std::string algorithm_name(Algorithm a) {
   return "unknown";
 }
 
-ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Algorithm algo) {
+ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Algorithm algo,
+                                 const EstimatorResult* estimate) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("schedule_moldable: eps must be in (0, 1]");
 
@@ -45,24 +47,24 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Alg
 
   switch (algo) {
     case Algorithm::kFptas: {
-      const FptasResult r = fptas_schedule(instance, eps);
-      out.schedule = r.schedule;
+      FptasResult r = fptas_schedule(instance, eps, estimate);
+      out.schedule = std::move(r.schedule);
       out.lower_bound = r.lower_bound;
       out.dual_calls = r.dual_calls;
       out.guarantee = 1 + eps;
       break;
     }
     case Algorithm::kMrt: {
-      const MrtResult r = mrt_schedule(instance, eps);
-      out.schedule = r.schedule;
+      MrtResult r = mrt_schedule(instance, eps, estimate);
+      out.schedule = std::move(r.schedule);
       out.lower_bound = r.lower_bound;
       out.dual_calls = r.dual_calls;
       out.guarantee = 1.5 + eps;
       break;
     }
     case Algorithm::kCompressible: {
-      const CompressibleSchedResult r = compressible_schedule(instance, eps);
-      out.schedule = r.schedule;
+      CompressibleSchedResult r = compressible_schedule(instance, eps, estimate);
+      out.schedule = std::move(r.schedule);
       out.lower_bound = r.lower_bound;
       out.dual_calls = r.dual_calls;
       out.guarantee = 1.5 + eps;
@@ -70,17 +72,17 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Alg
     }
     case Algorithm::kBounded:
     case Algorithm::kBoundedLinear: {
-      const BoundedSchedResult r =
-          bounded_schedule(instance, eps, algo == Algorithm::kBoundedLinear);
-      out.schedule = r.schedule;
+      BoundedSchedResult r =
+          bounded_schedule(instance, eps, algo == Algorithm::kBoundedLinear, estimate);
+      out.schedule = std::move(r.schedule);
       out.lower_bound = r.lower_bound;
       out.dual_calls = r.dual_calls;
       out.guarantee = 1.5 + eps;
       break;
     }
     case Algorithm::kLudwigTiwari: {
-      const BaselineResult r = ludwig_tiwari_schedule(instance);
-      out.schedule = r.schedule;
+      BaselineResult r = ludwig_tiwari_schedule(instance, estimate);
+      out.schedule = std::move(r.schedule);
       out.lower_bound = r.lower_bound;
       out.guarantee = 2;
       break;
@@ -94,20 +96,21 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps, Alg
   return out;
 }
 
-ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps) {
+ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps,
+                             const EstimatorResult* estimate) {
   if (!(eps > 0) || eps > 1)
     throw std::invalid_argument("ptas_schedule: eps must be in (0, 1]");
   const bool fptas_ok = static_cast<double>(instance.machines()) >=
                         fptas_machine_threshold(instance.size(), eps);
   if (fptas_ok || instance.size() == 0)
-    return schedule_moldable(instance, eps, Algorithm::kFptas);
+    return schedule_moldable(instance, eps, Algorithm::kFptas, estimate);
 
   // Substituted [14] branch: exact for tiny instances, (3/2+eps) otherwise.
   const ExactLimits limits;
   if (instance.size() <= limits.max_jobs && instance.machines() <= limits.max_machines) {
-    if (const auto exact = solve_exact(instance, limits)) {
+    if (auto exact = solve_exact(instance, limits)) {
       ScheduleResult out;
-      out.schedule = exact->schedule;
+      out.schedule = std::move(exact->schedule);
       out.used = Algorithm::kAuto;  // the exact branch has no enum of its own
       out.lower_bound = exact->makespan;
       out.makespan = exact->makespan;
@@ -116,7 +119,7 @@ ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps) {
       return out;
     }
   }
-  return schedule_moldable(instance, eps, Algorithm::kBoundedLinear);
+  return schedule_moldable(instance, eps, Algorithm::kBoundedLinear, estimate);
 }
 
 }  // namespace moldable::core

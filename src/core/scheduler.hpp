@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "src/core/estimator.hpp"
 #include "src/jobs/instance.hpp"
 #include "src/sched/schedule.hpp"
 
@@ -41,8 +42,13 @@ struct ScheduleResult {
 /// Schedules the instance with approximation parameter eps in (0, 1].
 /// Guarantee: makespan <= (1 + eps) OPT in the FPTAS regime, else
 /// (3/2 + eps) OPT ((2) for kLudwigTiwari, where eps is ignored).
+/// `estimate` (optional) is the instance's Ludwig-Tiwari estimate when the
+/// caller already holds it — every algorithm opens with that estimate, so a
+/// caller running several algorithms on one instance computes it once.
+/// Null runs estimate_makespan inside. It never changes the result.
 ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps,
-                                 Algorithm algo = Algorithm::kAuto);
+                                 Algorithm algo = Algorithm::kAuto,
+                                 const EstimatorResult* estimate = nullptr);
 
 /// The Section 3.2 PTAS composition. The paper splits on m >= 8n/eps:
 /// above, the Theorem 2 FPTAS gives (1+eps); below, it invokes the
@@ -51,7 +57,8 @@ ScheduleResult schedule_moldable(const jobs::Instance& instance, double eps,
 /// optimally (guarantee 1), everything else falls back to Algorithm 3 with
 /// guarantee 3/2+eps. The returned `guarantee` field reports which branch
 /// ran; callers needing a true PTAS for mid-size low-m instances must
-/// accept the documented substitution.
-ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps);
+/// accept the documented substitution. `estimate` as in schedule_moldable.
+ScheduleResult ptas_schedule(const jobs::Instance& instance, double eps,
+                             const EstimatorResult* estimate = nullptr);
 
 }  // namespace moldable::core

@@ -10,7 +10,22 @@
 
 namespace moldable::engine {
 
+std::optional<core::EstimatorResult> try_estimate(const jobs::Instance& instance) {
+  try {
+    return core::estimate_makespan(instance);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 double certified_lower_bound(const jobs::Instance& instance) {
+  if (instance.size() == 0) return 0.0;
+  const std::optional<core::EstimatorResult> estimate = try_estimate(instance);
+  return certified_lower_bound(instance, estimate ? &*estimate : nullptr);
+}
+
+double certified_lower_bound(const jobs::Instance& instance,
+                             const core::EstimatorResult* estimate) {
   if (instance.size() == 0) return 0.0;
   // The memory-aware area bound is valid independently of the estimator
   // (and is +inf for provably-unschedulable memory-tight instances, which
@@ -18,12 +33,9 @@ double certified_lower_bound(const jobs::Instance& instance) {
   // max-combined even when the estimator itself fails.
   const double mem_bound =
       instance.memory_constrained() ? instance.memory_lower_bound() : 0.0;
-  try {
-    return std::max(core::estimate_makespan(instance).omega, mem_bound);
-  } catch (const std::exception&) {
-    if (mem_bound > 0) return mem_bound;
-    return -std::numeric_limits<double>::infinity();
-  }
+  if (estimate) return std::max(estimate->omega, mem_bound);
+  if (mem_bound > 0) return mem_bound;
+  return -std::numeric_limits<double>::infinity();
 }
 
 void mix_shed_digest(std::uint64_t& h, std::size_t index, const ShedOutcome& shed) {
@@ -112,7 +124,9 @@ ShedDecision AdmissionPolicy::admission_check(const jobs::Instance& instance) co
   auto it = deadlines_.find(instance.sla_class());
   if (it == deadlines_.end()) return decision;  // no deadline, nothing to certify
   decision.budget = it->second;
-  decision.omega = certified_lower_bound(instance);
+  if (instance.size() > 0) decision.estimate = try_estimate(instance);
+  decision.omega =
+      certified_lower_bound(instance, decision.estimate ? &*decision.estimate : nullptr);
   // completion >= arrival + omega, so omega > budget proves arrival + budget
   // unmeetable. -inf (estimator failure) and 0 (empty) never trip this.
   decision.shed = config_.shed && decision.omega > decision.budget;

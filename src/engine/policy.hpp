@@ -40,13 +40,21 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/core/estimator.hpp"
 #include "src/jobs/instance.hpp"
 
 namespace moldable::engine {
+
+/// core::estimate_makespan, or nullopt when it throws (a malformed oracle,
+/// an empty instance) — the form in which admission hands an instance's
+/// estimate to the window cut and the portfolio to its lanes, so each
+/// instance runs the estimator once.
+std::optional<core::EstimatorResult> try_estimate(const jobs::Instance& instance);
 
 /// The certified makespan lower bound used as decision currency by both the
 /// early-cancel rule and the admission shed probe: the Ludwig-Tiwari
@@ -60,6 +68,12 @@ namespace moldable::engine {
 /// instance and never sheds.
 double certified_lower_bound(const jobs::Instance& instance);
 
+/// The same bound from an estimate already in hand: `estimate` is the
+/// instance's estimate_makespan result, or null when the estimator threw.
+/// Runs no estimator; equals certified_lower_bound(instance).
+double certified_lower_bound(const jobs::Instance& instance,
+                             const core::EstimatorResult* estimate);
+
 /// One admission probe's verdict. When `shed` is set, `omega > budget` is
 /// the certificate: omega lower-bounds every achievable makespan, so the
 /// instance provably cannot meet its class deadline no matter which variant
@@ -68,6 +82,10 @@ struct ShedDecision {
   bool shed = false;
   double omega = 0;   ///< certified lower bound (the certificate)
   double budget = 0;  ///< the class's relative deadline, seconds
+  /// The estimate omega came from, carried on to the solve so the
+  /// estimator runs once per instance. None when the class has no
+  /// deadline (nothing was probed) or the estimator threw.
+  std::optional<core::EstimatorResult> estimate;
 };
 
 /// A shed outcome as surfaced to callbacks and digests: the instance never
@@ -180,9 +198,10 @@ class AdmissionPolicy {
   /// omega > budget is hopeless at any queue depth).
   ShedDecision admission_check(const jobs::Instance& instance) const;
 
-  /// The window-cut plan for an admitted instance. `omega` is the admission
-  /// probe's bound for deadline-class instances (0 otherwise — it is only
-  /// consulted together with a budget). Returns, in precedence order:
+  /// The window-cut plan for an admitted instance. `omega` is the
+  /// instance's certified lower bound — the admission probe's value for
+  /// deadline-class instances; it is only consulted together with a
+  /// budget. Returns, in precedence order:
   ///   * a single-lane down-shift plan when shedding is on and the
   ///     instance's slack is gone: virtual_now + omega > arrival + budget —
   ///     the same inequality the shed probe applies at admission, re-checked

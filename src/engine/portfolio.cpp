@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "src/engine/exec_core.hpp"
@@ -275,9 +277,17 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
     result.memo_misses = plan.misses;
   }
 
+  // Slot i's carried estimate, or null when the caller carried none.
+  const auto carried_estimate = [&](std::size_t i) -> const core::EstimatorResult* {
+    if (!config.estimates || i >= config.estimates->size()) return nullptr;
+    const std::optional<core::EstimatorResult>& e = (*config.estimates)[i];
+    return e ? &*e : nullptr;
+  };
+
   // One variant's attempt, run to completion or failure. Pure except for
-  // the wall stamp.
-  const auto run_attempt = [&](std::size_t i, std::size_t v, VariantAttempt& a) {
+  // the wall stamp. `estimate` (nullable) is the instance's estimate.
+  const auto run_attempt = [&](std::size_t i, std::size_t v,
+                               const core::EstimatorResult* estimate, VariantAttempt& a) {
     a.algorithm = config.variants[v];
     util::Timer attempt_timer;
     try {
@@ -286,10 +296,18 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
       // Warm per-thread scratch: each shard worker gets its own arena, so
       // reuse is safe under any interleaving.
       solver_config.arena = &util::thread_scratch_arena();
+      solver_config.estimate = estimate;
       const core::ScheduleResult r = (*solvers[v])(batch[i], solver_config);
       const sched::ValidationResult check = sched::validate(r.schedule, batch[i]);
       if (!check.ok)
         throw std::runtime_error("invalid schedule: " + check.errors.front());
+      // The paper's guarantee, checked beside validity: a proven factor
+      // (guarantee > 0; 0 means none is proven) must hold against the
+      // attempt's own certified lower bound.
+      if (r.guarantee > 0 && !leq_tol(r.makespan, r.guarantee * r.lower_bound))
+        throw std::runtime_error("guarantee violated: makespan " + std::to_string(r.makespan) +
+                                 " exceeds " + std::to_string(r.guarantee) +
+                                 " x lower bound " + std::to_string(r.lower_bound));
       if (is_auto[v]) a.resolved = core::algorithm_name(r.used);
       a.outcome = AttemptOutcome::kCompleted;
       a.ok = true;
@@ -347,13 +365,24 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
           return (*lane_vars)[lane];
         };
         out.attempts.resize(lanes);
-        // A single-lane instance (single-variant portfolio, or a
-        // down-shifted plan) has no peers to cancel and must stay bitwise
-        // equal to solving that one variant alone, so it skips the decision
-        // machinery (and the estimator call funding it) entirely.
-        const double omega = lanes > 1
-                                 ? certified_lower_bound(batch[i])
-                                 : -std::numeric_limits<double>::infinity();
+        // One estimate per instance: the carried one, else — only when the
+        // early-cancel rule needs omega — one computed here. Every lane gets
+        // it, so no solver re-runs the estimator. A single-lane instance
+        // (single-variant portfolio, or a down-shifted plan) has no peers to
+        // cancel and must stay bitwise equal to solving that one variant
+        // alone, so it skips the decision machinery entirely; its lane runs
+        // the estimator itself when nothing was carried. A throwing
+        // estimator carries nothing, and each lane re-raises its error.
+        const core::EstimatorResult* estimate = carried_estimate(i);
+        std::optional<core::EstimatorResult> own;
+        double omega = -std::numeric_limits<double>::infinity();
+        if (lanes > 1) {
+          if (!estimate && batch[i].size() > 0) {
+            own = try_estimate(batch[i]);
+            if (own) estimate = &*own;
+          }
+          omega = certified_lower_bound(batch[i], estimate);
+        }
 
         // The early-cancel walk, in plan order: run each lane until one
         // completes at or below omega and so decides the instance; every
@@ -365,7 +394,7 @@ PortfolioResult PortfolioSolver::solve(const std::vector<jobs::Instance>& batch,
             stub_cancelled(a, config.variants[variant_of(lane)]);
             continue;
           }
-          run_attempt(i, variant_of(lane), a);
+          run_attempt(i, variant_of(lane), estimate, a);
           decided = a.ok && a.makespan <= omega;
         }
 

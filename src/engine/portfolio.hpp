@@ -1,10 +1,16 @@
 // PortfolioSolver: try several registry variants per instance, keep the best.
 //
 // It is the library's one batch engine. A one-variant configuration is the
-// single-solver mode (`--algorithm X`): one lane per instance, no estimator
-// call, no early-cancel, each outcome digested in the single-solver layout
-// (see PortfolioOutcome::mix_digest) — and its schedule validated like
-// every other lane's.
+// single-solver mode (`--algorithm X`): one lane per instance, no
+// early-cancel, each outcome digested in the single-solver layout (see
+// PortfolioOutcome::mix_digest) — and its schedule validated like every
+// other lane's.
+//
+// One estimate per instance: every variant that opens with the
+// Ludwig-Tiwari estimator receives the instance's estimate through
+// SolverConfig::estimate — carried in by the caller
+// (PortfolioConfig::estimates) or, when the early-cancel rule needs omega,
+// computed once here — instead of re-running it per lane.
 //
 // Capability filtering (memory axis): a memory-constrained instance tries
 // only the memory-aware subset of its planned lanes — memory-blind variants
@@ -31,6 +37,11 @@
 //   * guarantee    = min proven factor among the variants that achieved the
 //                    best makespan.
 //
+// A lane completes only when its schedule passes sched::validate AND its
+// makespan is within its own proven factor of its own lower bound
+// (guarantee > 0; 0 means no proven factor): a violation fails the
+// attempt as "guarantee violated: ...".
+//
 // Early-cancel rule: each instance first gets the Ludwig-Tiwari
 // estimator's certified lower bound omega (<= OPT). The variants run in
 // portfolio order; the first completed variant whose valid makespan is
@@ -55,9 +66,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/core/estimator.hpp"
 #include "src/engine/exec_core.hpp"
 #include "src/engine/registry.hpp"
 #include "src/jobs/instance.hpp"
@@ -97,12 +110,22 @@ struct PortfolioConfig {
   /// salted into the memo key so they never alias. Entries must be valid,
   /// duplicate-free variant indices. The pointee must outlive solve().
   const std::vector<std::vector<std::uint16_t>>* variant_plans = nullptr;
+  /// Optional per-instance Ludwig-Tiwari estimates the caller already holds
+  /// (the stream layer's admission probe), index-aligned with the batch. A
+  /// nullopt entry, or a missing entry past the vector's end, carries
+  /// nothing. Each instance runs the estimator at most once: a carried
+  /// estimate funds the early-cancel omega and is handed to every lane
+  /// (SolverConfig::estimate); without one, a multi-lane instance computes
+  /// it once here. Estimates never change an outcome and never enter the
+  /// memo key. Each entry must be its instance's estimate_makespan result.
+  /// The pointee must outlive solve().
+  const std::vector<std::optional<core::EstimatorResult>>* estimates = nullptr;
 };
 
 /// How one variant's attempt on one instance ended.
 enum class AttemptOutcome : unsigned char {
   kCompleted = 0,  ///< ran to completion and produced a valid schedule
-  kFailed = 1,     ///< threw, or produced a schedule sched::validate rejects
+  kFailed = 1,     ///< threw, or produced an invalid schedule or one over its guarantee
   kCancelled = 2,  ///< excluded by the early-cancel rule (deterministic stub)
 };
 
@@ -240,7 +263,8 @@ class PortfolioSolver {
   /// duplicate name, or eps is out of range; per-instance solver errors
   /// and invalid schedules are recorded in the outcomes instead of thrown.
   /// A single-variant portfolio is the single-solver mode: one lane, no
-  /// estimator call, no early-cancel.
+  /// early-cancel, and no estimator call beyond the one its solver makes
+  /// (none when config.estimates carries the instance's estimate).
   ///
   /// `memo` (optional) enables digest-keyed memoization: instances whose
   /// content was already solved under this config — earlier in this batch

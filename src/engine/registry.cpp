@@ -16,19 +16,19 @@ SolverFn enum_solver(core::Algorithm algo) {
     // The scope makes config.arena visible to every hot loop below this
     // frame (util::scratch_arena) — no core signature changes.
     util::ArenaScope arena_scope(config.arena);
-    return core::schedule_moldable(instance, config.eps, algo);
+    return core::schedule_moldable(instance, config.eps, algo, config.estimate);
   };
 }
 
 core::ScheduleResult solve_exact_wrapped(const jobs::Instance& instance,
                                          const SolverConfig& config) {
   util::ArenaScope arena_scope(config.arena);
-  const auto exact = core::solve_exact(instance);  // throws over the hard caps
+  auto exact = core::solve_exact(instance);  // throws over the hard caps
   if (!exact)
     throw std::runtime_error("exact: node budget exceeded for instance '" +
                              instance.name() + "'");
   core::ScheduleResult out;
-  out.schedule = exact->schedule;
+  out.schedule = std::move(exact->schedule);
   out.lower_bound = exact->makespan;
   out.makespan = exact->makespan;
   out.ratio_vs_lower = 1;
@@ -39,9 +39,9 @@ core::ScheduleResult solve_exact_wrapped(const jobs::Instance& instance,
 core::ScheduleResult memory_greedy_wrapped(const jobs::Instance& instance,
                                            const SolverConfig& config) {
   util::ArenaScope arena_scope(config.arena);
-  const core::BaselineResult b = core::memory_greedy_schedule(instance);
+  core::BaselineResult b = core::memory_greedy_schedule(instance, config.estimate);
   core::ScheduleResult out;
-  out.schedule = b.schedule;
+  out.schedule = std::move(b.schedule);
   out.lower_bound = b.lower_bound;
   out.makespan = out.schedule.makespan();
   out.ratio_vs_lower = out.lower_bound > 0 ? out.makespan / out.lower_bound : 1;
@@ -63,7 +63,7 @@ AlgorithmRegistry AlgorithmRegistry::with_builtins() {
     r.add(core::algorithm_name(a), enum_solver(a));
   r.add("ptas", [](const jobs::Instance& instance, const SolverConfig& config) {
     util::ArenaScope arena_scope(config.arena);
-    return core::ptas_schedule(instance, config.eps);
+    return core::ptas_schedule(instance, config.eps, config.estimate);
   });
   r.add("exact", solve_exact_wrapped);
   // The memory-aware pair. mem-exact reuses solve_exact, whose allotment

@@ -49,6 +49,13 @@ struct SolverConfig {
   /// engine's other bookkeeping. Arenas recycle memory only; they never
   /// change results (the determinism digests are the enforced contract).
   util::ScratchArena* arena = nullptr;
+  /// The instance's Ludwig-Tiwari estimate when the caller already holds it
+  /// (the portfolio computes it once per instance and hands it to every
+  /// lane). Non-owning, like `arena`: solvers that open with the estimator
+  /// use it instead of re-running it; null makes them run it themselves.
+  /// It never changes a result and never enters a memo key. The pointee
+  /// must be the estimate of the instance being solved.
+  const core::EstimatorResult* estimate = nullptr;
 };
 
 /// A registered solver variant: maps (instance, config) to a ScheduleResult,

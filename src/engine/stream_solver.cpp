@@ -117,10 +117,11 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
   struct Pending {
     jobs::Instance instance;
     std::uint64_t tag;
-    /// Admission probe's certified lower bound (deadline classes under an
-    /// active policy; 0 otherwise). Carried to the window cut so the
-    /// down-shift check never re-runs the estimator.
-    double omega;
+    /// Admission probe's estimate (deadline classes under an active
+    /// policy; none otherwise, or when the estimator threw). Carried to the
+    /// window cut and on to the portfolio's lanes, so neither the down-shift
+    /// check nor a solver re-runs the estimator.
+    std::optional<core::EstimatorResult> estimate;
   };
   std::vector<Pending> pending;
   const std::size_t capacity = config.window * config.max_inflight;
@@ -190,11 +191,11 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
       // recorder persists the full record stream and the replay re-derives
       // the same shed set from it (digest-enforced below).
       if (config.on_admit) config.on_admit(record.instance);
-      double omega = 0;
+      std::optional<core::EstimatorResult> estimate;
       if (policy) {
         policy->observe_arrival(record.instance.arrival());
-        const ShedDecision decision = policy->admission_check(record.instance);
-        omega = decision.omega;
+        ShedDecision decision = policy->admission_check(record.instance);
+        estimate = std::move(decision.estimate);
         if (decision.shed) {
           // Refused at admission: consumes a stream-global index and mixes
           // its certificate into the rolling digest (marker byte 2 in the
@@ -216,7 +217,7 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
           continue;
         }
       }
-      pending.push_back(Pending{std::move(record.instance), record.tag, omega});
+      pending.push_back(Pending{std::move(record.instance), record.tag, std::move(estimate)});
     }
     if (pending.empty()) break;  // fully drained
 
@@ -238,12 +239,12 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     window.reserve(take);
     std::vector<std::uint64_t> window_tags;
     window_tags.reserve(take);
-    std::vector<double> window_omegas;
-    window_omegas.reserve(take);
+    std::vector<std::optional<core::EstimatorResult>> window_estimates;
+    window_estimates.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
       window.push_back(std::move(pending[i].instance));
       window_tags.push_back(pending[i].tag);
-      window_omegas.push_back(pending[i].omega);
+      window_estimates.push_back(std::move(pending[i].estimate));
     }
     pending.erase(pending.begin(), pending.begin() + take);
     if (pending.empty()) flushing = false;  // flush satisfied: resume filling
@@ -263,7 +264,10 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     if (policy && variants.size() > 1) {
       window_plans.resize(take);
       for (std::size_t i = 0; i < take; ++i) {
-        VariantPlan plan = policy->plan_for(window[i], window_omegas[i]);
+        const core::EstimatorResult* estimate =
+            window_estimates[i] ? &*window_estimates[i] : nullptr;
+        VariantPlan plan =
+            policy->plan_for(window[i], certified_lower_bound(window[i], estimate));
         if (plan.downshift) {
           ++stats.downshifted;
           if (config.on_downshift) config.on_downshift(window_tags[i]);
@@ -302,7 +306,8 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
 
     // Solve the window through the engine; fold outcomes into the rolling
     // digest under their stream-global indices and into the per-class
-    // accounting.
+    // accounting. Admission's estimates ride along to the lanes.
+    engine_config.estimates = &window_estimates;
     const PortfolioResult r =
         solver.solve(window, engine_config, config.memo ? &memo : nullptr);
     stats.solved = r.solved;

@@ -2,14 +2,17 @@
 // (min makespan / max lower bound), winner selection determinism across
 // thread counts, all-variants-fail isolation, the one-variant single-solver
 // mode (auto resolution, failure isolation, memoization, stats ladders),
-// and the early-cancel rule on mock solvers.
+// the early-cancel rule on mock solvers, the per-attempt guarantee check,
+// and the one-estimator-run-per-instance rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 
+#include "src/core/estimator.hpp"
 #include "src/core/scheduler.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/jobs/generators.hpp"
@@ -701,7 +704,9 @@ core::ScheduleResult stacked_result(const Instance& inst, procs_t procs) {
   out.makespan = now;
   out.lower_bound = inst.size() == 0 ? 0 : inst.trivial_lower_bound();
   out.ratio_vs_lower = out.lower_bound > 0 ? out.makespan / out.lower_bound : 1;
-  out.guarantee = 2;
+  // Stacking proves no approximation factor, and the portfolio fails an
+  // attempt whose makespan exceeds its claimed factor times its own bound.
+  out.guarantee = 0;
   return out;
 }
 
@@ -793,6 +798,83 @@ TEST(PortfolioSolver, NonDecidingInstanceKeepsEveryAttempt) {
   EXPECT_EQ(r.cancelled_attempts, 0u);
   EXPECT_EQ(r.outcomes[0].attempts[0].outcome, AttemptOutcome::kCompleted);
   EXPECT_EQ(r.outcomes[0].attempts[1].outcome, AttemptOutcome::kCompleted);
+}
+
+// ---------------------------------------------------- guarantee check --
+
+TEST(PortfolioSolver, AttemptOverItsGuaranteeFails) {
+  // A valid schedule is not enough: a lane whose makespan exceeds its
+  // claimed factor times its own certified bound breaks the paper's
+  // guarantee and fails, in single-solver mode and beside a peer alike.
+  AlgorithmRegistry registry = AlgorithmRegistry::global();
+  registry.add("over-promise", [](const Instance& i, const SolverConfig&) {
+    core::ScheduleResult r = stacked_result(i, 1);  // valid, jobs back to back
+    r.guarantee = 1.5;
+    return r;
+  });
+  const std::vector<Instance> batch{make_instance(Family::kAmdahl, 8, 32, 41)};
+  const core::ScheduleResult claim = registry.at("over-promise")(batch[0], SolverConfig{});
+  ASSERT_GT(claim.makespan, 1.5 * claim.lower_bound * 1.01);  // the witness is far over
+
+  PortfolioConfig one;
+  one.variants = {"over-promise"};
+  const PortfolioResult single = PortfolioSolver(registry).solve(batch, one);
+  EXPECT_EQ(single.failed, 1u);
+  EXPECT_EQ(single.outcomes[0].attempts[0].outcome, AttemptOutcome::kFailed);
+  EXPECT_EQ(single.outcomes[0].attempts[0].error.rfind("guarantee violated:", 0), 0u)
+      << single.outcomes[0].attempts[0].error;
+
+  PortfolioConfig two;
+  two.variants = {"over-promise", "mrt"};
+  const PortfolioResult pair = PortfolioSolver(registry).solve(batch, two);
+  ASSERT_EQ(pair.solved, 1u);
+  EXPECT_EQ(pair.outcomes[0].attempts[0].outcome, AttemptOutcome::kFailed);
+  EXPECT_EQ(pair.outcomes[0].winner, "mrt");
+
+  // A claim of 0 proves no factor and is never checked.
+  registry.add("no-claim", [](const Instance& i, const SolverConfig&) {
+    return stacked_result(i, 1);
+  });
+  one.variants = {"no-claim"};
+  EXPECT_EQ(PortfolioSolver(registry).solve(batch, one).solved, 1u);
+}
+
+// ------------------------------------------ one estimator run per instance --
+
+TEST(PortfolioSolver, MultiLaneInstanceRunsTheEstimatorOnce) {
+  // Every lane below opens with the Ludwig-Tiwari estimator; the portfolio
+  // computes it once per instance (for the early-cancel omega) and hands it
+  // to every lane.
+  const auto batch = small_batch(12, 32);
+  PortfolioConfig config;
+  config.variants = {"mrt", "algorithm1", "algorithm3", "algorithm3-linear", "lt-2approx",
+                     "auto", "ptas"};
+  config.threads = 2;
+  std::uint64_t before = core::estimator_runs();
+  const PortfolioResult r = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(core::estimator_runs() - before, batch.size());
+  EXPECT_EQ(r.solved, batch.size());
+
+  // Carried estimates fund every lane: no run at all, same digest.
+  std::vector<std::optional<core::EstimatorResult>> estimates;
+  for (const Instance& inst : batch) estimates.push_back(core::estimate_makespan(inst));
+  config.estimates = &estimates;
+  before = core::estimator_runs();
+  const PortfolioResult carried = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(core::estimator_runs() - before, 0u);
+  EXPECT_EQ(carried.digest(), r.digest());
+
+  // A single lane has no early-cancel: its solver runs the estimator itself
+  // unless one is carried.
+  config.variants = {"algorithm3-linear"};
+  config.estimates = nullptr;
+  before = core::estimator_runs();
+  const PortfolioResult lone = PortfolioSolver().solve(batch, config);
+  EXPECT_EQ(core::estimator_runs() - before, batch.size());
+  config.estimates = &estimates;
+  before = core::estimator_runs();
+  EXPECT_EQ(PortfolioSolver().solve(batch, config).digest(), lone.digest());
+  EXPECT_EQ(core::estimator_runs() - before, 0u);
 }
 
 }  // namespace

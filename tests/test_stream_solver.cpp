@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/core/estimator.hpp"
 #include "src/engine/portfolio.hpp"
 #include "src/engine/stream_solver.hpp"
 #include "src/jobs/generators.hpp"
@@ -1151,6 +1152,64 @@ TEST(StreamRecordReplay, FlushDrivenWindowCutsSurviveReplay) {
   EXPECT_EQ(report.result.window_stats[0].instances, 2u);  // same cut on replay
   EXPECT_EQ(report.result.memo_hits, live.memo_hits);
   EXPECT_EQ(report.result.memo_misses, live.memo_misses);
+}
+
+// ------------------------------------------ one estimator run per arrival --
+
+TEST(StreamSolver, DeadlineMixRunsTheEstimatorAtMostOncePerArrival) {
+  // The deadline-mix shape: three variants, certificate shedding on the
+  // interactive class, an LRU memo and duplicate records. Admission's
+  // estimate rides to every lane, so the estimator runs exactly once for
+  // each shed-probed (interactive) arrival, once for each solved batch
+  // arrival, and never for a batch memo hit.
+  traffic::TrafficConfig storm;
+  storm.curve = "const:rate=1000";
+  storm.seed = 3;
+  storm.horizon = 1;
+  storm.classes = traffic::parse_class_mix("batch=0.4,interactive=0.6");
+  storm.duplicate_every = 4;
+  std::ostringstream text;
+  traffic::TrafficGenerator(storm).write(text);
+  std::size_t arrivals = 0, interactive = 0;
+  for (const Instance& inst : traffic::TrafficGenerator(storm).generate()) {
+    ++arrivals;
+    if (inst.sla_class() == "interactive") ++interactive;
+  }
+
+  // The three lanes, wrapped: every call must arrive with the estimate,
+  // and the first lane (never cancelled, never down-shifted for the
+  // deadline-free class) counts the batch solves.
+  std::size_t batch_solves = 0, lanes_without_estimate = 0;
+  AlgorithmRegistry registry;
+  const std::vector<std::string> variants = {"mrt", "algorithm1", "algorithm3-linear"};
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const SolverFn inner = AlgorithmRegistry::global().at(variants[v]);
+    registry.add(variants[v], [&, inner, v](const Instance& i, const SolverConfig& c) {
+      if (!c.estimate) ++lanes_without_estimate;
+      if (v == 0 && i.sla_class() == "batch") ++batch_solves;
+      return inner(i, c);
+    });
+  }
+  StreamConfig config;
+  config.variants = variants;
+  config.threads = 1;
+  config.memo = true;
+  config.memo_capacity = 64;
+  config.class_deadlines["interactive"] = 30.0;
+  config.shed = true;
+
+  std::istringstream input(text.str());
+  const std::uint64_t before = core::estimator_runs();
+  const StreamResult r = StreamSolver(registry).run(input, config);
+  const std::uint64_t runs = core::estimator_runs() - before;
+
+  ASSERT_GT(r.shed, 0u);
+  ASSERT_GT(r.memo_hits, 0u);
+  ASSERT_GT(batch_solves, 0u);
+  EXPECT_EQ(r.instances + r.shed, arrivals);
+  EXPECT_EQ(lanes_without_estimate, 0u);
+  EXPECT_EQ(runs, interactive + batch_solves);
+  EXPECT_LE(runs, arrivals);
 }
 
 }  // namespace
