@@ -30,7 +30,12 @@ struct BoundedDualOptions {
   bool linear_variant = false;  ///< Section 4.3.3 bucketed transformation
 };
 
-/// One (3/2 + eps)-dual call at deadline d.
+/// One (3/2 + eps)-dual call at deadline d, written into `out` (see
+/// dual_search).
+bool bounded_dual(const jobs::Instance& instance, double d, double eps,
+                  const BoundedDualOptions& options, sched::AssignmentList& out);
+
+/// The same call on a fresh buffer, materialized when accepted.
 DualOutcome bounded_dual(const jobs::Instance& instance, double d, double eps,
                          const BoundedDualOptions& options = {});
 

@@ -25,7 +25,12 @@
 
 namespace moldable::core {
 
-/// One (3/2 + eps)-dual call at deadline d.
+/// One (3/2 + eps)-dual call at deadline d, written into `out` (see
+/// dual_search).
+bool compressible_dual(const jobs::Instance& instance, double d, double eps,
+                       sched::AssignmentList& out);
+
+/// The same call on a fresh buffer, materialized when accepted.
 DualOutcome compressible_dual(const jobs::Instance& instance, double d, double eps);
 
 struct CompressibleSchedResult {

@@ -7,19 +7,25 @@
 
 namespace moldable::core {
 
-DualOutcome fptas_dual(const jobs::Instance& instance, double d, double eps_d) {
+bool fptas_dual(const jobs::Instance& instance, double d, double eps_d,
+                sched::AssignmentList& out) {
   const double deadline = (1 + eps_d) * d;
   procs_t used = 0;
-  sched::Schedule s;
   for (std::size_t j = 0; j < instance.size(); ++j) {
     const jobs::Job& job = instance.job(j);
     const auto g = job.gamma(deadline);
-    if (!g) return DualOutcome::reject();  // t_j(m) > (1+eps)d >= d: no d-schedule
+    if (!g) return false;  // t_j(m) > (1+eps)d >= d: no d-schedule
     used += *g;
-    if (used > instance.machines()) return DualOutcome::reject();
-    s.add({j, 0.0, *g, job.time(*g)});
+    if (used > instance.machines()) return false;
+    out.push_back({j, 0.0, *g, job.time(*g)});
   }
-  return DualOutcome::accept(std::move(s));
+  return true;
+}
+
+DualOutcome fptas_dual(const jobs::Instance& instance, double d, double eps_d) {
+  return run_dual(
+      [&](sched::AssignmentList& out) { return fptas_dual(instance, d, eps_d, out); },
+      instance.size());
 }
 
 double fptas_machine_threshold(std::size_t n, double eps) {
@@ -40,7 +46,8 @@ FptasResult fptas_schedule(const jobs::Instance& instance, double eps,
 
   const double omega = estimate ? estimate->omega : estimate_makespan(instance).omega;
   DualSearchResult sr = dual_search(
-      [&](double d) { return fptas_dual(instance, d, eps_d); }, omega, eps_s);
+      [&](double d, sched::AssignmentList& out) { return fptas_dual(instance, d, eps_d, out); },
+      instance.size(), omega, eps_s);
 
   FptasResult out;
   out.schedule = std::move(sr.schedule);

@@ -18,8 +18,13 @@
 
 namespace moldable::core {
 
-/// The (1+eps_d)-dual algorithm of Theorem 2. Valid (i.e. rejection is
-/// sound) whenever m >= 8n/eps_d; the caller enforces that.
+/// The (1+eps_d)-dual algorithm of Theorem 2, written into `out` (see
+/// dual_search). Valid (i.e. rejection is sound) whenever m >= 8n/eps_d;
+/// the caller enforces that.
+bool fptas_dual(const jobs::Instance& instance, double d, double eps_d,
+                sched::AssignmentList& out);
+
+/// The same call on a fresh buffer, materialized when accepted.
 DualOutcome fptas_dual(const jobs::Instance& instance, double d, double eps_d);
 
 struct FptasResult {

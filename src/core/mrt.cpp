@@ -9,49 +9,29 @@
 
 namespace moldable::core {
 
-DualOutcome mrt_dual(const jobs::Instance& instance, double d) {
-  if (!(d > 0)) return DualOutcome::reject();
-  if (deadline_infeasible(instance, d)) return DualOutcome::reject();
-  const procs_t m = instance.machines();
-  const BigSmallSplit split = split_small_big(instance, d);
-
-  // Forced shelf-1 jobs: gamma_j(d/2) undefined (t_j(m) > d/2). They reduce
-  // the knapsack capacity (Section 4.1).
-  std::vector<std::size_t> s1_jobs;
-  std::vector<std::size_t> free_jobs;  // knapsack candidates
-  procs_t capacity = m;
-  for (std::size_t j : split.big) {
-    const jobs::Job& job = instance.job(j);
-    const auto g1 = job.gamma(d);
-    check_invariant(g1.has_value(), "mrt_dual: gamma(d) undefined after feasibility test");
-    if (!leq_tol(job.tmin(), d / 2)) {
-      s1_jobs.push_back(j);
-      capacity -= *g1;
-    } else {
-      free_jobs.push_back(j);
-    }
-  }
-  if (capacity < 0) return DualOutcome::reject();
+bool mrt_dual(const jobs::Instance& instance, double d, sched::AssignmentList& out) {
+  if (!(d > 0)) return false;
+  if (deadline_infeasible(instance, d)) return false;
+  util::ScratchArena& arena = util::scratch_arena();
+  const util::ScratchArena::Frame frame(arena);
+  ShelfCandidates c = shelf_candidates(instance, d);
+  if (c.capacity < 0) return false;
 
   // Knapsack KP(J_B(d), m, d): sizes gamma_j(d), profits v_j(d) (Eq. (6)).
-  std::vector<knapsack::Item> items;
-  items.reserve(free_jobs.size());
-  for (std::size_t j : free_jobs) {
-    const jobs::Job& job = instance.job(j);
-    const procs_t g1 = *job.gamma(d);
-    const procs_t g2 = *job.gamma(d / 2);
-    // Monotone work makes the profit non-negative; numerical noise is
-    // clamped so the DP's precondition holds.
-    const double v = std::max(0.0, job.work(g2) - job.work(g1));
-    items.push_back({static_cast<double>(g1), v});
-  }
-  const knapsack::Solution sol = knapsack::solve_dense(items, capacity);
-  for (std::size_t i : sol.chosen) s1_jobs.push_back(free_jobs[i]);
+  util::ScratchList<knapsack::Item> items(arena, c.free_jobs.size());
+  for (std::size_t i = 0; i < c.free_jobs.size(); ++i)
+    items.push_back(saved_work_item(instance.job(c.free_jobs[i]), c.free_gamma[i], d));
+  util::ScratchList<std::size_t> chosen(arena, items.size());
+  knapsack::solve_dense(items, c.capacity, chosen);
+  for (std::size_t i : chosen) c.s1_jobs.push_back(c.free_jobs[i]);
 
-  auto schedule = assemble_schedule(instance, d, s1_jobs,
-                                    sched::TransformPolicy::kExactHeap, 0.2);
-  if (!schedule) return DualOutcome::reject();
-  return DualOutcome::accept(std::move(*schedule));
+  return assemble_schedule(instance, d, c.s1_jobs, sched::TransformPolicy::kExactHeap, 0.2,
+                           out);
+}
+
+DualOutcome mrt_dual(const jobs::Instance& instance, double d) {
+  return run_dual([&](sched::AssignmentList& out) { return mrt_dual(instance, d, out); },
+                  instance.size());
 }
 
 MrtResult mrt_schedule(const jobs::Instance& instance, double eps,
@@ -61,8 +41,9 @@ MrtResult mrt_schedule(const jobs::Instance& instance, double eps,
   const double omega = estimate ? estimate->omega : estimate_makespan(instance).omega;
   // (3/2)(1 + eps_s) <= 3/2 + eps  <=>  eps_s = (2/3) eps.
   const double eps_s = (2.0 / 3.0) * eps;
-  DualSearchResult sr =
-      dual_search([&](double d) { return mrt_dual(instance, d); }, omega, eps_s);
+  DualSearchResult sr = dual_search(
+      [&](double d, sched::AssignmentList& out) { return mrt_dual(instance, d, out); },
+      instance.size(), omega, eps_s);
   return {std::move(sr.schedule), sr.lower_bound, sr.dual_calls};
 }
 

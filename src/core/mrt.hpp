@@ -20,8 +20,12 @@
 
 namespace moldable::core {
 
-/// One (3/2)-dual call at deadline d. Accepted schedules have makespan
-/// <= (3/2) d; rejection certifies that no schedule of makespan d exists.
+/// One (3/2)-dual call at deadline d, written into `out` (see dual_search).
+/// Accepted schedules have makespan <= (3/2) d; rejection certifies that no
+/// schedule of makespan d exists.
+bool mrt_dual(const jobs::Instance& instance, double d, sched::AssignmentList& out);
+
+/// The same call on a fresh buffer, materialized when accepted.
 DualOutcome mrt_dual(const jobs::Instance& instance, double d);
 
 struct MrtResult {

@@ -122,6 +122,8 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     /// window cut and on to the portfolio's lanes, so neither the down-shift
     /// check nor a solver re-runs the estimator.
     std::optional<core::EstimatorResult> estimate;
+    /// Effective deadline, fixed at admission (see deadline_of).
+    double deadline;
   };
   std::vector<Pending> pending;
   const std::size_t capacity = config.window * config.max_inflight;
@@ -217,7 +219,9 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
           continue;
         }
       }
-      pending.push_back(Pending{std::move(record.instance), record.tag, std::move(estimate)});
+      const double deadline = deadline_of(record.instance);
+      pending.push_back(
+          Pending{std::move(record.instance), record.tag, std::move(estimate), deadline});
     }
     if (pending.empty()) break;  // fully drained
 
@@ -226,13 +230,14 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     // the (+inf) rest; within equal deadlines, arrival order. Stable, so
     // full ties keep stream order — a pure function of the record stream
     // and the config, no clock involved. Tags ride along and never order.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [&](const Pending& a, const Pending& b) {
-                       const double da = deadline_of(a.instance),
-                                    db = deadline_of(b.instance);
-                       if (da != db) return da < db;
-                       return a.instance.arrival() < b.instance.arrival();
-                     });
+    // Without deadline classes, or when a refill arrives in deadline order,
+    // the buffer is already sorted and the sort is skipped.
+    const auto earlier = [](const Pending& a, const Pending& b) {
+      if (a.deadline != b.deadline) return a.deadline < b.deadline;
+      return a.instance.arrival() < b.instance.arrival();
+    };
+    if (!std::is_sorted(pending.begin(), pending.end(), earlier))
+      std::stable_sort(pending.begin(), pending.end(), earlier);
 
     const std::size_t take = std::min(config.window, pending.size());
     std::vector<jobs::Instance> window;
@@ -316,7 +321,6 @@ StreamResult StreamSolver::run(InstanceSource& source, const StreamConfig& confi
     stats.memo_hits = r.memo_hits;
     stats.memo_misses = r.memo_misses;
     stats.cancelled_attempts = r.cancelled_attempts;
-    stats.digest = r.digest();
     for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
       const PortfolioOutcome& o = r.outcomes[i];
       const std::size_t index = global_index++;

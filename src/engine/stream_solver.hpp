@@ -189,7 +189,6 @@ struct WindowStats {
   /// their deadline slack was already gone at the window cut (deterministic
   /// — the rule runs on stream virtual time).
   std::size_t downshifted = 0;
-  std::uint64_t digest = 0;          ///< this window's own batch digest
   std::uint64_t rolling_digest = 0;  ///< stream digest after this window
 };
 

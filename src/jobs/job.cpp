@@ -26,12 +26,12 @@ std::optional<procs_t> Job::gamma(double t) const {
   // otherwise dual algorithms would reject makespans that are achievable.
   if (!leq_tol(tm_, t)) return std::nullopt;
   if (leq_tol(t1_, t)) return 1;
-  // Invariant: time(hi) <= t < time(lo-impossible...); search least k with
-  // time(k) <= t in (1, m].
+  // Search least k with time(k) <= t in (1, m]. Every probe lies strictly
+  // between 1 and m, so it goes to the oracle directly.
   procs_t lo = 1, hi = m_;  // time(lo) > t, time(hi) <= t
   while (hi - lo > 1) {
     const procs_t mid = lo + (hi - lo) / 2;
-    if (leq_tol(time(mid), t))
+    if (leq_tol(f_->at(mid), t))
       hi = mid;
     else
       lo = mid;
@@ -44,10 +44,10 @@ procs_t Job::last_at_least(double t) const {
   // feasibility decision; estimator correctness only needs consistency).
   if (t1_ < t) return 0;
   if (tm_ >= t) return m_;
-  procs_t lo = 1, hi = m_;  // time(lo) >= t, time(hi) < t
+  procs_t lo = 1, hi = m_;  // time(lo) >= t, time(hi) < t; probes in (1, m)
   while (hi - lo > 1) {
     const procs_t mid = lo + (hi - lo) / 2;
-    if (time(mid) >= t)
+    if (f_->at(mid) >= t)
       lo = mid;
     else
       hi = mid;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 #include "src/knapsack/geom_grid.hpp"
@@ -48,17 +47,23 @@ RoundedBigJob round_big_job(const jobs::Instance& instance, std::size_t j,
   const auto g2 = job.gamma(r.d / 2);
   check_invariant(g1.has_value() && g2.has_value(),
                   "round_big_job: gamma undefined (job must be unforced and feasible)");
+  return round_big_job(instance, j, *g1, *g2, r);
+}
+
+RoundedBigJob round_big_job(const jobs::Instance& instance, std::size_t j, procs_t gamma_d,
+                            procs_t gamma_d2, const BoundedRounding& r) {
+  const jobs::Job& job = instance.job(j);
   RoundedBigJob out;
   out.job = j;
-  out.gamma_d = *g1;
-  out.gamma_d2 = *g2;
-  out.compressible = static_cast<double>(*g1) > r.b;
-  out.size = round_count(*g1, r);
+  out.gamma_d = gamma_d;
+  out.gamma_d2 = gamma_d2;
+  out.compressible = static_cast<double>(gamma_d) > r.b;
+  out.size = round_count(gamma_d, r);
 
-  const double s2 = round_count(*g2, r);
+  const double s2 = round_count(gamma_d2, r);
   if (s2 < r.b) {
     // Narrow in S2: exact profit, then Eq. (26).
-    const double v = job.work(*g2) - job.work(*g1);
+    const double v = job.work(gamma_d2) - job.work(gamma_d);
     const double lo = (r.delta / 2) * r.d;
     if (v < lo) {
       out.profit = 0;
@@ -68,55 +73,75 @@ RoundedBigJob round_big_job(const jobs::Instance& instance, std::size_t j,
   } else {
     // Wide in S2: profit from rounded times and counts. Independent
     // down-rounding can make the difference marginally negative; clamp.
-    const double td = round_time(job.time(*g1), r.d, r);
-    const double td2 = round_time(job.time(*g2), r.d / 2, r);
+    const double td = round_time(job.time(gamma_d), r.d, r);
+    const double td2 = round_time(job.time(gamma_d2), r.d / 2, r);
     out.profit = std::max(0.0, td2 * s2 - td * out.size);
   }
   return out;
 }
 
-BoundedInstance::BoundedInstance(const std::vector<RoundedBigJob>& rounded) {
+BoundedInstance::BoundedInstance(std::span<const RoundedBigJob> rounded)
+    : arena_(util::scratch_arena()), frame_(arena_) {
   // Group by exact (size, profit): both live on shared geometric grids, so
-  // equality is meaningful. Compressibility is determined by the size
-  // (size > b iff rounded), stored alongside for belt and braces.
-  std::map<std::pair<double, double>, std::size_t> key_to_type;
-  std::vector<char> type_comp;
-  for (const RoundedBigJob& rb : rounded) {
-    const auto key = std::make_pair(rb.size, rb.profit);
-    auto [it, inserted] = key_to_type.try_emplace(key, members_.size());
-    if (inserted) {
-      members_.emplace_back();
-      type_size_.push_back(rb.size);
-      type_comp.push_back(rb.compressible ? 1 : 0);
-    }
-    check_invariant(type_comp[it->second] == (rb.compressible ? 1 : 0),
-                    "BoundedInstance: inconsistent compressibility within a type");
-    members_[it->second].push_back(rb.job);
+  // equality is meaningful. Sorting positions by (key, position) lays each
+  // type out as one run whose first entry is its first appearance.
+  const std::size_t n = rounded.size();
+  const auto key_less = [&](std::size_t a, std::size_t b) {
+    return std::make_pair(rounded[a].size, rounded[a].profit) <
+           std::make_pair(rounded[b].size, rounded[b].profit);
+  };
+  std::size_t* order = arena_.alloc<std::size_t>(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order, order + n, [&](std::size_t a, std::size_t b) {
+    return key_less(a, b) || (!key_less(b, a) && a < b);
+  });
+  struct Run {
+    std::size_t begin, end;  ///< positions in `order`
+  };
+  util::ScratchList<Run> runs(arena_, n);
+  for (std::size_t i = 0; i < n;) {
+    std::size_t e = i + 1;
+    while (e < n && !key_less(order[i], order[e])) ++e;
+    runs.push_back({i, e});
+    i = e;
   }
+  // Type ids follow first appearance, the order a key-to-type table would
+  // hand them out in.
+  std::sort(runs.begin(), runs.end(),
+            [&](const Run& a, const Run& b) { return order[a.begin] < order[b.begin]; });
 
+  members_ = util::ScratchList<std::size_t>(arena_, n);
+  type_begin_ = util::ScratchList<std::size_t>(arena_, runs.size() + 1);
   // Binary container expansion: multiplicities 1, 2, 4, ..., 2^{k-1} and a
-  // remainder, which together represent every count in [0, c_t].
-  for (std::size_t t = 0; t < members_.size(); ++t) {
-    auto count = static_cast<procs_t>(members_[t].size());
+  // remainder, which together represent every count in [0, c_t] with at
+  // most c_t containers.
+  items_ = util::ScratchList<Item>(arena_, n);
+  compressible_ = util::ScratchList<char>(arena_, n);
+  containers_ = util::ScratchList<Container>(arena_, n);
+  for (const Run& run : runs) {
+    const std::size_t type = type_begin_.size();
+    const RoundedBigJob& first = rounded[order[run.begin]];
+    type_begin_.push_back(members_.size());
+    for (std::size_t k = run.begin; k < run.end; ++k) {
+      // Compressibility is determined by the size (size > b iff rounded);
+      // checked per type for belt and braces.
+      check_invariant(rounded[order[k]].compressible == first.compressible,
+                      "BoundedInstance: inconsistent compressibility within a type");
+      members_.push_back(rounded[order[k]].job);
+    }
+    auto count = static_cast<procs_t>(run.end - run.begin);
     procs_t mult = 1;
     while (count > 0) {
       const procs_t take = std::min(mult, count);
-      items_.push_back({type_size_[t] * static_cast<double>(take),
-                        /*profit computed from any member's profit*/ 0.0});
-      containers_.push_back({t, take});
-      compressible_.push_back(type_comp[t]);
+      items_.push_back({first.size * static_cast<double>(take),
+                        first.profit * static_cast<double>(take)});
+      containers_.push_back({type, take});
+      compressible_.push_back(first.compressible ? 1 : 0);
       count -= take;
       mult *= 2;
     }
   }
-  // Fill container profits now that multiplicities are fixed (profit is the
-  // per-type unit profit times the multiplicity). Unit profit is recovered
-  // from the type key; we kept sizes, so recompute from the rounded list.
-  std::vector<double> type_profit(members_.size(), 0.0);
-  for (const auto& [key, type] : key_to_type) type_profit[type] = key.second;
-  for (std::size_t i = 0; i < items_.size(); ++i)
-    items_[i].profit = type_profit[containers_[i].type] *
-                       static_cast<double>(containers_[i].mult);
+  type_begin_.push_back(members_.size());
 }
 
 double BoundedInstance::min_compressible_size() const {
@@ -130,21 +155,29 @@ double BoundedInstance::min_compressible_size() const {
   return any ? best : 0;
 }
 
-std::vector<std::size_t> BoundedInstance::unpack(
-    const std::vector<std::size_t>& chosen_containers) const {
-  std::vector<procs_t> per_type(members_.size(), 0);
+void BoundedInstance::unpack(std::span<const std::size_t> chosen_containers,
+                             util::ScratchList<std::size_t>& jobs) const {
+  const util::ScratchArena::Frame frame(arena_);
+  procs_t* per_type = arena_.alloc_zeroed<procs_t>(num_types());
   for (std::size_t i : chosen_containers) {
     check_invariant(i < containers_.size(), "unpack: container index out of range");
     per_type[containers_[i].type] += containers_[i].mult;
   }
-  std::vector<std::size_t> jobs;
-  for (std::size_t t = 0; t < members_.size(); ++t) {
-    check_invariant(per_type[t] <= static_cast<procs_t>(members_[t].size()),
+  for (std::size_t t = 0; t < num_types(); ++t) {
+    const std::size_t begin = type_begin_[t];
+    check_invariant(per_type[t] <= static_cast<procs_t>(type_begin_[t + 1] - begin),
                     "unpack: selected multiplicity exceeds type population");
     for (procs_t k = 0; k < per_type[t]; ++k)
-      jobs.push_back(members_[t][static_cast<std::size_t>(k)]);
+      jobs.push_back(members_[begin + static_cast<std::size_t>(k)]);
   }
-  return jobs;
+}
+
+std::vector<std::size_t> BoundedInstance::unpack(
+    std::span<const std::size_t> chosen_containers) const {
+  const util::ScratchArena::Frame frame(arena_);
+  util::ScratchList<std::size_t> jobs(arena_, members_.size());
+  unpack(chosen_containers, jobs);
+  return {jobs.begin(), jobs.end()};
 }
 
 }  // namespace moldable::knapsack

@@ -26,10 +26,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/jobs/instance.hpp"
 #include "src/knapsack/item.hpp"
+#include "src/util/arena.hpp"
 
 namespace moldable::knapsack {
 
@@ -54,19 +56,30 @@ struct RoundedBigJob {
 };
 
 /// Rounds one big, unforced job (t_j(1) > d/2 and t_j(m) <= d/2 so that
-/// both gammas exist; the caller guarantees this).
+/// both gammas exist; the caller guarantees this). `gamma_d` and
+/// `gamma_d2` are gamma_j(d) and gamma_j(d/2), which the caller already
+/// holds.
+RoundedBigJob round_big_job(const jobs::Instance& instance, std::size_t j, procs_t gamma_d,
+                            procs_t gamma_d2, const BoundedRounding& r);
+
+/// The same, searching both gammas first.
 RoundedBigJob round_big_job(const jobs::Instance& instance, std::size_t j,
                             const BoundedRounding& r);
 
 /// Groups rounded jobs into types (identical (size, profit)), expands each
 /// type into binary containers, and remembers the members for unpacking.
+/// Types are numbered in order of first appearance and keep their members
+/// in input order. Storage lives on the calling thread's scratch arena
+/// inside a frame the destructor rewinds (LIFO, like knapsack::ParetoRun).
 class BoundedInstance {
  public:
-  explicit BoundedInstance(const std::vector<RoundedBigJob>& rounded);
+  explicit BoundedInstance(std::span<const RoundedBigJob> rounded);
+  BoundedInstance(const BoundedInstance&) = delete;
+  BoundedInstance& operator=(const BoundedInstance&) = delete;
 
-  const std::vector<Item>& items() const { return items_; }
-  const std::vector<char>& compressible() const { return compressible_; }
-  std::size_t num_types() const { return type_size_.size(); }
+  std::span<const Item> items() const { return items_; }
+  std::span<const char> compressible() const { return compressible_; }
+  std::size_t num_types() const { return type_begin_.size() - 1; }
   std::size_t num_items() const { return items_.size(); }
 
   /// Smallest compressible container size (alpha_min for Algorithm 2), or 0
@@ -74,20 +87,27 @@ class BoundedInstance {
   double min_compressible_size() const;
 
   /// Converts selected container indices back into job indices (into the
-  /// original instance). A selection of containers of one type with total
-  /// multiplicity k yields the first k members of that type.
-  std::vector<std::size_t> unpack(const std::vector<std::size_t>& chosen_containers) const;
+  /// original instance), appended to `jobs` (room for every member). A
+  /// selection of containers of one type with total multiplicity k yields
+  /// the first k members of that type.
+  void unpack(std::span<const std::size_t> chosen_containers,
+              util::ScratchList<std::size_t>& jobs) const;
+
+  /// The same, returned as a new vector.
+  std::vector<std::size_t> unpack(std::span<const std::size_t> chosen_containers) const;
 
  private:
-  std::vector<Item> items_;
-  std::vector<char> compressible_;
   struct Container {
     std::size_t type;
     procs_t mult;
   };
-  std::vector<Container> containers_;               ///< parallel to items_
-  std::vector<std::vector<std::size_t>> members_;   ///< job indices per type
-  std::vector<double> type_size_;                   ///< per-type unit size
+  util::ScratchArena& arena_;
+  util::ScratchArena::Frame frame_;
+  util::ScratchList<Item> items_;
+  util::ScratchList<char> compressible_;
+  util::ScratchList<Container> containers_;   ///< parallel to items_
+  util::ScratchList<std::size_t> members_;    ///< job indices, grouped by type
+  util::ScratchList<std::size_t> type_begin_; ///< type t owns members_[begin[t], begin[t+1])
 };
 
 }  // namespace moldable::knapsack

@@ -15,21 +15,27 @@
 // the capacity split approximation, half for the normalization).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/knapsack/item.hpp"
+#include "src/util/arena.hpp"
 
 namespace moldable::knapsack {
 
-struct CompressibleInput {
-  std::vector<Item> items;
-  std::vector<char> compressible;  ///< parallel to items
+/// Algorithm 2's parameters, everything but the items.
+struct CompressibleParams {
   procs_t capacity = 0;            ///< C
   double rho = 0;                  ///< compression factor, in (0, 1/4]
   double alpha_min = 1;            ///< lower bound on any non-zero compressible space
                                    ///< (e.g. the minimum compressible item size)
   procs_t beta_max = 0;            ///< upper bound on incompressible space usage
   procs_t nbar = 1;                ///< max #compressible items in any solution
+};
+
+struct CompressibleInput : CompressibleParams {
+  std::vector<Item> items;
+  std::vector<char> compressible;  ///< parallel to items
 };
 
 struct CompressibleSolution {
@@ -44,5 +50,12 @@ struct CompressibleSolution {
 /// Runs Algorithm 2. Throws std::invalid_argument on malformed input
 /// (rho outside (0, 1/4], negative sizes, mismatched vectors).
 CompressibleSolution solve_compressible(const CompressibleInput& input);
+
+/// The same solve on borrowed items, with the chosen indices (ascending)
+/// appended to `chosen`, which needs room for items.size() more; returns
+/// the profit. All working memory is scratch: no heap allocation.
+double solve_compressible(std::span<const Item> items, std::span<const char> compressible,
+                          const CompressibleParams& params,
+                          util::ScratchList<std::size_t>& chosen);
 
 }  // namespace moldable::knapsack

@@ -38,7 +38,7 @@ namespace moldable::knapsack {
 
 namespace {
 
-void validate_input(const std::vector<Item>& items, procs_t capacity) {
+void validate_input(std::span<const Item> items, procs_t capacity) {
   if (capacity < 0) throw std::invalid_argument("knapsack: negative capacity");
   for (const Item& it : items) {
     if (it.size < 0) throw std::invalid_argument("knapsack: negative size");
@@ -212,7 +212,8 @@ std::vector<double> dense_profit_row(const std::vector<Item>& items, procs_t cap
   return best;
 }
 
-Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
+double solve_dense(std::span<const Item> items, procs_t capacity,
+                   util::ScratchList<std::size_t>& chosen) {
   validate_input(items, capacity);
   const std::size_t n = items.size();
   const auto cells = static_cast<unsigned long long>(n) *
@@ -248,17 +249,26 @@ Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
     take_row_update(best, ucap, static_cast<std::size_t>(sz), it.profit, row);
   }
 
-  Solution sol;
-  sol.profit = best[ucap];
+  const std::size_t first = chosen.size();
   procs_t c = capacity;
   for (std::size_t i = n; i-- > 0;) {
     const auto uc = static_cast<std::size_t>(c);
     if (take[i * words + uc / 64] >> (uc % 64) & 1) {
-      sol.chosen.push_back(i);
+      chosen.push_back(i);
       c -= isize(items[i]);
     }
   }
-  std::reverse(sol.chosen.begin(), sol.chosen.end());
+  std::reverse(chosen.begin() + first, chosen.end());
+  return best[ucap];
+}
+
+Solution solve_dense(const std::vector<Item>& items, procs_t capacity) {
+  util::ScratchArena& arena = util::scratch_arena();
+  const util::ScratchArena::Frame frame(arena);
+  util::ScratchList<std::size_t> chosen(arena, items.size());
+  Solution sol;
+  sol.profit = solve_dense(items, capacity, chosen);
+  sol.chosen.assign(chosen.begin(), chosen.end());
   return sol;
 }
 

@@ -19,9 +19,11 @@
 // pinned benchmarks in bench/bench_knapsack.cpp.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/knapsack/item.hpp"
+#include "src/util/arena.hpp"
 
 namespace moldable::knapsack {
 
@@ -29,6 +31,12 @@ namespace moldable::knapsack {
 /// always taken when profitable. Throws std::invalid_argument for negative
 /// capacity/sizes/profits or when n*(C+1) exceeds ~2^35 decision bits.
 Solution solve_dense(const std::vector<Item>& items, procs_t capacity);
+
+/// The same solve with the chosen indices (ascending) appended to `chosen`,
+/// which needs room for items.size() more; returns the profit. No heap
+/// allocation.
+double solve_dense(std::span<const Item> items, procs_t capacity,
+                   util::ScratchList<std::size_t>& chosen);
 
 /// Profit-only DP row: best[c] = max profit with size <= c, for all
 /// c in [0, capacity]. Same guardrails; no reconstruction cost.

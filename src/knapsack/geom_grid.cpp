@@ -6,18 +6,25 @@
 
 namespace moldable::knapsack {
 
-std::vector<double> geom_set(double L, double U, double x) {
+std::span<const double> geom_set(util::ScratchArena& arena, double L, double U, double x) {
   if (!(L > 0) || U < L) throw std::invalid_argument("geom_set: need 0 < L <= U");
   if (!(x > 1)) throw std::invalid_argument("geom_set: need x > 1");
-  const auto imax = static_cast<std::int64_t>(std::ceil(std::log(U / L) / std::log(x)));
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(imax) + 1);
+  const auto count =
+      static_cast<std::size_t>(std::ceil(std::log(U / L) / std::log(x))) + 1;
+  double* out = arena.alloc<double>(count);
   double v = L;
-  for (std::int64_t i = 0; i <= imax; ++i) {
-    out.push_back(v);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = v;
     v *= x;
   }
-  return out;
+  return {out, count};
+}
+
+std::vector<double> geom_set(double L, double U, double x) {
+  util::ScratchArena& arena = util::scratch_arena();
+  const util::ScratchArena::Frame frame(arena);
+  const std::span<const double> set = geom_set(arena, L, U, x);
+  return {set.begin(), set.end()};
 }
 
 double round_down_geom(double a, double L, double U, double x) {
@@ -50,18 +57,45 @@ double round_up_geom(double a, double L, double U, double x) {
   return v;
 }
 
-NormalizationGrid::NormalizationGrid(std::vector<double> capacities, double alpha_min,
-                                     double rho, procs_t nbar, std::size_t max_points) {
+NormalizationGrid::NormalizationGrid(std::span<const double> capacities, double alpha_min,
+                                     double rho, procs_t nbar, std::size_t max_points)
+    : frame_(util::scratch_arena()) {
   if (capacities.empty()) throw std::invalid_argument("NormalizationGrid: empty capacity set");
   if (!(rho > 0) || rho > 0.5) throw std::invalid_argument("NormalizationGrid: rho out of (0, 0.5]");
   if (nbar < 1) nbar = 1;
-  std::sort(capacities.begin(), capacities.end());
-  if (!(alpha_min > 0) || alpha_min > capacities.front() * (1 + kRelTol))
+  util::ScratchArena& arena = util::scratch_arena();
+  std::span<const double> sorted = capacities;
+  if (!std::is_sorted(capacities.begin(), capacities.end())) {
+    double* copy = arena.alloc<double>(capacities.size());
+    std::copy(capacities.begin(), capacities.end(), copy);
+    std::sort(copy, copy + capacities.size());
+    sorted = {copy, capacities.size()};
+  }
+  if (!(alpha_min > 0) || alpha_min > sorted.front() * (1 + kRelTol))
     throw std::invalid_argument("NormalizationGrid: need 0 < alpha_min <= min capacity");
+  per_interval_ = util::ScratchList<std::size_t>(arena, sorted.size());
 
-  points_.push_back(0.0);
+  // The point count is known only once the walk ends, so points grow in
+  // doubling arena blocks (the abandoned ones go with this grid's frame).
+  double* points = nullptr;
+  std::size_t len = 0, cap = 0;
+  const auto push = [&](double p) {
+    if (len == cap) {
+      cap = cap ? 2 * cap : 64;
+      double* grown = arena.alloc<double>(cap);
+      std::copy(points, points + len, grown);
+      points = grown;
+    }
+    points[len++] = p;
+  };
+  const auto publish = [&] {
+    points_ = points;
+    points_len_ = len;
+  };
+
+  push(0.0);
   double prev = alpha_min;  // alpha_0 of Lemma 12
-  for (double alpha : capacities) {
+  for (double alpha : sorted) {
     if (alpha <= prev) continue;  // skip duplicates / degenerate intervals
     const double U = rho / ((1 - rho) * static_cast<double>(nbar)) * alpha;
     // Subinterval lower edges inside [prev, alpha): max(l*U, prev) for
@@ -72,25 +106,30 @@ NormalizationGrid::NormalizationGrid(std::vector<double> capacities, double alph
     for (std::int64_t l = lmin; l <= lmax; ++l) {
       const double edge = std::max(static_cast<double>(l) * U, prev);
       if (edge >= alpha) break;
-      if (edge > points_.back() * (1 + kRelTol) || points_.back() == 0.0) {
-        if (edge > points_.back()) {
-          points_.push_back(edge);
+      const double back = points[len - 1];
+      if (edge > back * (1 + kRelTol) || back == 0.0) {
+        if (edge > back) {
+          push(edge);
           ++count;
-          if (points_.size() >= max_points) return;
+          if (len >= max_points) {
+            publish();
+            return;
+          }
         }
       }
     }
     per_interval_.push_back(count);
     prev = alpha;
   }
-  points_.push_back(prev);  // the largest capacity itself is representable
+  push(prev);  // the largest capacity itself is representable
+  publish();
 }
 
 std::optional<double> NormalizationGrid::normalize(double s) const {
   if (s <= 0) return 0.0;
-  if (s > points_.back() * (1 + kRelTol)) return std::nullopt;
+  if (s > max_value() * (1 + kRelTol)) return std::nullopt;
   // Largest point <= s.
-  auto it = std::upper_bound(points_.begin(), points_.end(), s * (1 + kRelTol));
+  const double* it = std::upper_bound(points_, points_ + points_len_, s * (1 + kRelTol));
   return *std::prev(it);
 }
 

@@ -21,11 +21,12 @@ namespace {
 // the output" carried in registers and the capacity cut hoisted out of the
 // per-point push.
 
-/// Growable array of ParetoPoint carved from a ScratchArena. Growth
-/// allocates a fresh doubled block (the old one is reclaimed by the frame
-/// rewind), so pushes stay amortized O(1) with zero heap traffic.
+/// Growable array carved from a ScratchArena. Growth allocates a fresh
+/// doubled block (the old one is reclaimed by the frame rewind), so pushes
+/// stay amortized O(1) with zero heap traffic.
+template <typename T>
 struct ArenaList {
-  ParetoPoint* data = nullptr;
+  T* data = nullptr;
   std::size_t len = 0;
   std::size_t cap = 0;
 
@@ -33,8 +34,8 @@ struct ArenaList {
     if (want <= cap) return;
     std::size_t ncap = cap ? cap * 2 : 64;
     while (ncap < want) ncap *= 2;
-    ParetoPoint* nd = arena.alloc<ParetoPoint>(ncap);
-    if (len) std::memcpy(nd, data, len * sizeof(ParetoPoint));
+    T* nd = arena.alloc<T>(ncap);
+    if (len) std::memcpy(static_cast<void*>(nd), data, len * sizeof(T));
     data = nd;
     cap = ncap;
   }
@@ -125,7 +126,7 @@ using Spine = ParetoRun::Spine;
 /// A kept buffer simply leaves the ping-pong pair — the next merge step
 /// writes into a fresh one — so keeping costs no copy. Everything lives on
 /// `arena` until the caller's frame rewinds.
-Spine forward_run(const std::vector<Item>& items, std::size_t lo, std::size_t hi,
+Spine forward_run(std::span<const Item> items, std::size_t lo, std::size_t hi,
                   double capacity, util::ScratchArena& arena) {
   std::size_t ends[64];  // e_0 = hi > e_1 > ... > lo
   std::size_t count = 0;
@@ -136,7 +137,7 @@ Spine forward_run(const std::vector<Item>& items, std::size_t lo, std::size_t hi
   Frontier* at = arena.alloc<Frontier>(count);
 
   const double cap_tol = capacity * (1 + kRelTol);
-  ArenaList cur, next;
+  ArenaList<ParetoPoint> cur, next;
   cur.ensure(arena, 1);
   cur.data[0] = {0.0, 0.0};
   cur.len = 1;
@@ -181,9 +182,9 @@ std::size_t prefix_len(const Frontier& f, double capacity) {
 ///
 /// One frame holds this node's run until both children return: O(L log n)
 /// live scratch per level of the recursion path.
-void reconstruct_rec(const std::vector<Item>& items, std::size_t lo, std::size_t hi,
+void reconstruct_rec(std::span<const Item> items, std::size_t lo, std::size_t hi,
                      double capacity, const Spine& run, std::size_t k,
-                     std::vector<std::size_t>& chosen, util::ScratchArena& arena) {
+                     util::ScratchList<std::size_t>& chosen, util::ScratchArena& arena) {
   if (lo >= hi || capacity < 0) return;
   if (hi - lo == 1) {
     const Item& it = items[lo];
@@ -221,7 +222,7 @@ void reconstruct_rec(const std::vector<Item>& items, std::size_t lo, std::size_t
 
 }  // namespace
 
-ParetoRun::ParetoRun(const std::vector<Item>& items, double capacity)
+ParetoRun::ParetoRun(std::span<const Item> items, double capacity)
     : items_(items),
       arena_(util::scratch_arena()),
       frame_(arena_),
@@ -233,19 +234,27 @@ double ParetoRun::profit_at(double c) const {
   return len ? spine_.at[0].data[len - 1].profit : 0.0;
 }
 
-Solution ParetoRun::solve(double c) const {
+double ParetoRun::solve(double c, util::ScratchList<std::size_t>& chosen) const {
   if (c < 0) throw std::invalid_argument("ParetoRun::solve: negative capacity");
   if (c > spine_.capacity)
     throw std::invalid_argument("ParetoRun::solve: capacity exceeds the run's");
-  Solution sol;
-  sol.profit = profit_at(c);  // the forward run's optimum at c
-  reconstruct_rec(items_, 0, items_.size(), c, spine_, 0, sol.chosen, arena_);
+  const double optimum = profit_at(c);  // the forward run's optimum at c
+  const std::size_t first = chosen.size();
+  reconstruct_rec(items_, 0, items_.size(), c, spine_, 0, chosen, arena_);
   // The recursion re-derives the same optimum; double-check the arithmetic.
   double check = 0;
-  for (std::size_t i : sol.chosen) check += items_[i].profit;
-  check_invariant(check >= sol.profit * (1 - kRelTol) - kRelTol,
+  for (std::size_t i = first; i < chosen.size(); ++i) check += items_[chosen[i]].profit;
+  check_invariant(check >= optimum * (1 - kRelTol) - kRelTol,
                   "pairlist reconstruction lost profit");
-  sol.profit = check;
+  return check;
+}
+
+Solution ParetoRun::solve(double c) const {
+  const util::ScratchArena::Frame frame(arena_);
+  util::ScratchList<std::size_t> chosen(arena_, items_.size());
+  Solution sol;
+  sol.profit = solve(c, chosen);
+  sol.chosen.assign(chosen.begin(), chosen.end());
   return sol;
 }
 
@@ -267,103 +276,113 @@ std::vector<double> profits_for_capacities(const std::vector<Item>& items,
   return out;
 }
 
-Solution solve_pairlist(const std::vector<Item>& items, double capacity) {
+Solution solve_pairlist(std::span<const Item> items, double capacity) {
   return ParetoRun(items, capacity).solve(capacity);
 }
 
 // ------------------------------------------------------- normalized arena ---
 
-NormalizedPairList::NormalizedPairList(const std::vector<Item>& items,
+NormalizedPairList::NormalizedPairList(std::span<const Item> items,
                                        const NormalizationGrid& grid,
-                                       std::size_t max_pairs) {
-  arena_.push_back({0.0, 0.0, -1, -1});  // root: empty set
-  frontier_.push_back(0);
+                                       std::size_t max_pairs)
+    : arena_(util::scratch_arena()), frame_(arena_), item_count_(items.size()) {
+  // Candidate pairs: every frontier node extended by one item.
+  struct Cand {
+    double size, profit;
+    std::int64_t parent;
+  };
+  ArenaList<Node> nodes;
+  ArenaList<std::int64_t> frontier, merged;
+  ArenaList<Cand> cands;
+  nodes.ensure(arena_, 1);
+  nodes.data[nodes.len++] = {0.0, 0.0, -1, -1};  // root: empty set
+  frontier.ensure(arena_, 1);
+  frontier.data[frontier.len++] = 0;
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     const Item& it = items[i];
-    // Candidate pairs: every frontier node extended by this item, with the
-    // new size snapped down to the grid (the paper's "normalized on
+    // New sizes snap down to the grid (the paper's "normalized on
     // creation"); overflowing pairs are dropped.
-    struct Cand {
-      double size, profit;
-      std::int64_t parent;
-    };
-    std::vector<Cand> cands;
-    cands.reserve(frontier_.size());
-    for (std::int64_t idx : frontier_) {
-      const Node& nd = arena_[static_cast<std::size_t>(idx)];
+    cands.ensure(arena_, frontier.len);
+    cands.len = 0;
+    for (std::size_t f = 0; f < frontier.len; ++f) {
+      const std::int64_t idx = frontier.data[f];
+      const Node& nd = nodes.data[idx];
       const auto snapped = grid.normalize(nd.size + static_cast<double>(it.size));
       if (!snapped) continue;
-      cands.push_back({*snapped, nd.profit + it.profit, idx});
+      cands.data[cands.len++] = {*snapped, nd.profit + it.profit, idx};
     }
     // Both sequences ascend in size (frontier is sorted and snapping is
     // monotone), so a linear merge with dominance pruning suffices.
-    std::vector<std::int64_t> merged;
-    merged.reserve(frontier_.size() + cands.size());
+    merged.ensure(arena_, frontier.len + cands.len);
+    merged.len = 0;
     std::size_t a = 0, b = 0;
     auto push = [&](double size, double profit, std::int64_t parent, std::int32_t item) {
-      if (!merged.empty()) {
-        const Node& back = arena_[static_cast<std::size_t>(merged.back())];
+      if (merged.len > 0) {
+        const Node& back = nodes.data[merged.data[merged.len - 1]];
         if (profit <= back.profit) return;  // dominated
-        if (size == back.size) {
-          merged.pop_back();  // same size, keep the better profit
-        }
+        if (size == back.size) --merged.len;  // same size, keep the better profit
       }
       if (item < 0) {
-        merged.push_back(parent);  // existing node survives unchanged
+        merged.data[merged.len++] = parent;  // existing node survives unchanged
       } else {
-        arena_.push_back({size, profit, parent, item});
-        merged.push_back(static_cast<std::int64_t>(arena_.size()) - 1);
+        nodes.ensure(arena_, nodes.len + 1);
+        nodes.data[nodes.len] = {size, profit, parent, item};
+        merged.data[merged.len++] = static_cast<std::int64_t>(nodes.len++);
       }
     };
-    while (a < frontier_.size() || b < cands.size()) {
-      const bool take_old =
-          b >= cands.size() ||
-          (a < frontier_.size() &&
-           arena_[static_cast<std::size_t>(frontier_[a])].size <= cands[b].size);
+    while (a < frontier.len || b < cands.len) {
+      const bool take_old = b >= cands.len || (a < frontier.len &&
+                                              nodes.data[frontier.data[a]].size <= cands.data[b].size);
       if (take_old) {
-        const Node& nd = arena_[static_cast<std::size_t>(frontier_[a])];
-        push(nd.size, nd.profit, frontier_[a], -1);
+        const Node nd = nodes.data[frontier.data[a]];
+        push(nd.size, nd.profit, frontier.data[a], -1);
         ++a;
       } else {
-        push(cands[b].size, cands[b].profit, cands[b].parent,
+        push(cands.data[b].size, cands.data[b].profit, cands.data[b].parent,
              static_cast<std::int32_t>(i));
         ++b;
       }
     }
-    frontier_ = std::move(merged);
-    if (arena_.size() > max_pairs)
+    std::swap(frontier, merged);
+    if (nodes.len > max_pairs)
       throw std::invalid_argument(
           "NormalizedPairList: arena exceeded max_pairs; the grid is too "
           "fine for this instance — use the exact engine instead");
   }
+  nodes_ = nodes.data;
+  node_count_ = nodes.len;
+  frontier_ = frontier.data;
+  frontier_len_ = frontier.len;
 }
 
-double NormalizedPairList::profit_at(double capacity) const {
-  double best = 0;
-  for (std::int64_t idx : frontier_) {
-    const Node& nd = arena_[static_cast<std::size_t>(idx)];
-    if (nd.size > capacity * (1 + kRelTol)) break;
-    best = nd.profit;  // profits ascend along the frontier
+std::int64_t NormalizedPairList::best_at(double capacity) const {
+  std::int64_t best = -1;
+  for (std::size_t f = 0; f < frontier_len_; ++f) {
+    if (nodes_[frontier_[f]].size > capacity * (1 + kRelTol)) break;
+    best = frontier_[f];  // profits ascend along the frontier
   }
   return best;
 }
 
+double NormalizedPairList::profit_at(double capacity) const {
+  const std::int64_t best = best_at(capacity);
+  return best >= 0 ? nodes_[best].profit : 0.0;
+}
+
+void NormalizedPairList::reconstruct(double capacity,
+                                     util::ScratchList<std::size_t>& chosen) const {
+  const std::size_t first = chosen.size();
+  for (std::int64_t at = best_at(capacity); at >= 0; at = nodes_[at].parent)
+    if (nodes_[at].item >= 0) chosen.push_back(static_cast<std::size_t>(nodes_[at].item));
+  std::reverse(chosen.begin() + first, chosen.end());
+}
+
 std::vector<std::size_t> NormalizedPairList::reconstruct(double capacity) const {
-  std::int64_t best = -1;
-  for (std::int64_t idx : frontier_) {
-    const Node& nd = arena_[static_cast<std::size_t>(idx)];
-    if (nd.size > capacity * (1 + kRelTol)) break;
-    best = idx;
-  }
-  std::vector<std::size_t> chosen;
-  while (best >= 0) {
-    const Node& nd = arena_[static_cast<std::size_t>(best)];
-    if (nd.item >= 0) chosen.push_back(static_cast<std::size_t>(nd.item));
-    best = nd.parent;
-  }
-  std::reverse(chosen.begin(), chosen.end());
-  return chosen;
+  const util::ScratchArena::Frame frame(arena_);
+  util::ScratchList<std::size_t> chosen(arena_, item_count_);
+  reconstruct(capacity, chosen);
+  return {chosen.begin(), chosen.end()};
 }
 
 }  // namespace moldable::knapsack

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/knapsack/geom_grid.hpp"
@@ -61,7 +62,7 @@ std::vector<double> profits_for_capacities(const std::vector<Item>& items,
 /// Exact solve with divide-and-conquer reconstruction. Equivalent profit to
 /// solve_dense but O(L log^2 n) memory. Shorthand for
 /// ParetoRun(items, capacity).solve(capacity).
-Solution solve_pairlist(const std::vector<Item>& items, double capacity);
+Solution solve_pairlist(std::span<const Item> items, double capacity);
 
 /// One exact forward Pareto run over `items` up to `capacity`, kept so that
 /// every capacity c <= capacity is answered from it: profit_at(c) by a
@@ -76,7 +77,7 @@ Solution solve_pairlist(const std::vector<Item>& items, double capacity);
 /// `items` must outlive the run.
 class ParetoRun {
  public:
-  ParetoRun(const std::vector<Item>& items, double capacity);
+  ParetoRun(std::span<const Item> items, double capacity);
   ParetoRun(const ParetoRun&) = delete;
   ParetoRun& operator=(const ParetoRun&) = delete;
 
@@ -86,6 +87,11 @@ class ParetoRun {
   /// Chosen set for capacity c; profit is the chosen items' sum. Throws
   /// std::invalid_argument unless 0 <= c <= the run's capacity.
   Solution solve(double c) const;
+
+  /// The same reconstruction with the chosen indices appended to `chosen`
+  /// (room for items.size() more, allocated before this call); returns
+  /// the profit. No heap allocation.
+  double solve(double c, util::ScratchList<std::size_t>& chosen) const;
 
   // The run's storage layout, shared with the reconstruction in
   // pairlist.cpp.
@@ -105,7 +111,7 @@ class ParetoRun {
   };
 
  private:
-  const std::vector<Item>& items_;
+  std::span<const Item> items_;
   util::ScratchArena& arena_;
   util::ScratchArena::Frame frame_;
   Spine spine_;
@@ -118,13 +124,18 @@ class ParetoRun {
 /// OPT(items, exact, alpha): snapping only under-estimates sizes. The true
 /// size of a reconstructed solution exceeds its normalized size by at most
 /// (#chosen) * U(alpha) — the slack Lemma 12's compression argument absorbs.
+///
+/// Storage lives on the calling thread's scratch arena inside a frame the
+/// destructor rewinds, under the same LIFO rule as ParetoRun.
 class NormalizedPairList {
  public:
   /// Runs the DP immediately. Throws std::invalid_argument when the arena
   /// exceeds `max_pairs` (symptom: the grid is too fine to be useful —
   /// callers should fall back to the exact engine).
-  NormalizedPairList(const std::vector<Item>& items, const NormalizationGrid& grid,
+  NormalizedPairList(std::span<const Item> items, const NormalizationGrid& grid,
                      std::size_t max_pairs = std::size_t{1} << 26);
+  NormalizedPairList(const NormalizedPairList&) = delete;
+  NormalizedPairList& operator=(const NormalizedPairList&) = delete;
 
   /// Best profit among pairs with normalized size <= capacity.
   double profit_at(double capacity) const;
@@ -132,7 +143,10 @@ class NormalizedPairList {
   /// Chosen item indices achieving profit_at(capacity).
   std::vector<std::size_t> reconstruct(double capacity) const;
 
-  std::size_t arena_size() const { return arena_.size(); }
+  /// The same, appended to `chosen` (room for items.size() more).
+  void reconstruct(double capacity, util::ScratchList<std::size_t>& chosen) const;
+
+  std::size_t arena_size() const { return node_count_; }
 
  private:
   struct Node {
@@ -141,8 +155,16 @@ class NormalizedPairList {
     std::int64_t parent;  ///< -1 for the root (empty set)
     std::int32_t item;    ///< item added at this node, -1 for root
   };
-  std::vector<Node> arena_;
-  std::vector<std::int64_t> frontier_;  ///< final list, ascending size/profit
+  /// Index of the frontier node with the largest size <= capacity.
+  std::int64_t best_at(double capacity) const;
+
+  util::ScratchArena& arena_;
+  util::ScratchArena::Frame frame_;
+  std::size_t item_count_ = 0;
+  const Node* nodes_ = nullptr;
+  std::size_t node_count_ = 0;
+  const std::int64_t* frontier_ = nullptr;  ///< final list, ascending size/profit
+  std::size_t frontier_len_ = 0;
 };
 
 }  // namespace moldable::knapsack

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/jobs/instance.hpp"
+#include "src/util/arena.hpp"
 #include "src/util/common.hpp"
 
 namespace moldable::sched {
@@ -31,6 +33,8 @@ class Schedule {
   Schedule() = default;
   explicit Schedule(std::vector<Assignment> assignments)
       : assignments_(std::move(assignments)) {}
+  explicit Schedule(std::span<const Assignment> assignments)
+      : assignments_(assignments.begin(), assignments.end()) {}
 
   void add(Assignment a) { assignments_.push_back(a); }
 
@@ -50,6 +54,11 @@ class Schedule {
  private:
   std::vector<Assignment> assignments_;
 };
+
+/// Assignments under construction on the scratch arena: the dual
+/// algorithms write their candidate schedules here, one assignment per job,
+/// and only an accepted one becomes a Schedule.
+using AssignmentList = util::ScratchList<Assignment>;
 
 /// Concrete processor numbering: for each assignment, the first processor
 /// index of a set of `procs` indices reserved for its whole duration. The

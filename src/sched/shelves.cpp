@@ -22,10 +22,13 @@ double TwoShelfSchedule::work() const {
 }
 
 TwoShelfSchedule build_two_shelf(const jobs::Instance& instance,
-                                 const std::vector<std::size_t>& big_jobs,
-                                 const std::vector<char>& in_shelf1, double d) {
-  TwoShelfSchedule ts;
-  ts.d = d;
+                                 std::span<const std::size_t> big_jobs,
+                                 std::span<const char> in_shelf1, double d) {
+  util::ScratchArena& arena = util::scratch_arena();
+  std::size_t in_s1 = 0;
+  for (std::size_t i = 0; i < big_jobs.size(); ++i) in_s1 += in_shelf1[i] ? 1 : 0;
+  TwoShelfSchedule ts{d, util::ScratchList<ShelfEntry>(arena, in_s1),
+                      util::ScratchList<ShelfEntry>(arena, big_jobs.size() - in_s1)};
   for (std::size_t i = 0; i < big_jobs.size(); ++i) {
     const std::size_t j = big_jobs[i];
     const jobs::Job& job = instance.job(j);
@@ -33,7 +36,6 @@ TwoShelfSchedule build_two_shelf(const jobs::Instance& instance,
     const auto g = job.gamma(deadline);
     check_invariant(g.has_value(),
                     "build_two_shelf: gamma undefined for a shelf placement");
-    ts.s1.reserve(big_jobs.size());
     ShelfEntry e{j, *g, job.time(*g)};
     (in_shelf1[i] ? ts.s1 : ts.s2).push_back(e);
   }

@@ -9,9 +9,10 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "src/jobs/instance.hpp"
+#include "src/util/arena.hpp"
 #include "src/util/common.hpp"
 
 namespace moldable::sched {
@@ -24,8 +25,8 @@ struct ShelfEntry {
 
 struct TwoShelfSchedule {
   double d = 0;  ///< shelf-1 height; shelf 2 has height d/2
-  std::vector<ShelfEntry> s1;
-  std::vector<ShelfEntry> s2;
+  util::ScratchList<ShelfEntry> s1;
+  util::ScratchList<ShelfEntry> s2;
 
   procs_t procs_s1() const;
   procs_t procs_s2() const;
@@ -38,9 +39,10 @@ struct TwoShelfSchedule {
 /// `shelf1` are placed with gamma_j(d) processors, the rest of `big_jobs`
 /// with gamma_j(d/2). Requires gamma to be defined for every placement
 /// (callers guarantee this: shelf-1 membership is forced for any job with
-/// t_j(m) > d/2). Throws internal_error otherwise.
+/// t_j(m) > d/2). Throws internal_error otherwise. The shelves live on the
+/// calling thread's scratch arena, in the caller's frame.
 TwoShelfSchedule build_two_shelf(const jobs::Instance& instance,
-                                 const std::vector<std::size_t>& big_jobs,
-                                 const std::vector<char>& in_shelf1, double d);
+                                 std::span<const std::size_t> big_jobs,
+                                 std::span<const char> in_shelf1, double d);
 
 }  // namespace moldable::sched

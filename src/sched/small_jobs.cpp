@@ -4,8 +4,8 @@
 
 namespace moldable::sched {
 
-void insert_small_jobs(Schedule& schedule, const std::vector<ProcGroup>& groups,
-                       double horizon, const std::vector<SmallJobRef>& small_jobs) {
+void insert_small_jobs(AssignmentList& schedule, std::span<const ProcGroup> groups,
+                       double horizon, std::span<const SmallJobRef> small_jobs) {
   if (small_jobs.empty()) return;
 
   std::size_t gi = 0;         // current group
@@ -30,7 +30,7 @@ void insert_small_jobs(Schedule& schedule, const std::vector<ProcGroup>& groups,
                       "Lemma 9 violated: small job does not fit on any processor");
       const double free = horizon - cur_head - groups[gi].tail;
       if (leq_tol(sj.t1, free)) {
-        schedule.add({sj.job, cur_head, 1, sj.t1});
+        schedule.push_back({sj.job, cur_head, 1, sj.t1});
         cur_head += sj.t1;
         break;
       }

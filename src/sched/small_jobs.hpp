@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "src/jobs/instance.hpp"
 #include "src/sched/schedule.hpp"
@@ -30,7 +30,7 @@ struct SmallJobRef {
 /// Appends one single-processor assignment per small job to `schedule`.
 /// Throws internal_error when a job cannot be placed (impossible under the
 /// Lemma 9 work bound; reachable only if the caller skipped the bound).
-void insert_small_jobs(Schedule& schedule, const std::vector<ProcGroup>& groups,
-                       double horizon, const std::vector<SmallJobRef>& small_jobs);
+void insert_small_jobs(AssignmentList& schedule, std::span<const ProcGroup> groups,
+                       double horizon, std::span<const SmallJobRef> small_jobs);
 
 }  // namespace moldable::sched

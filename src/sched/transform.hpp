@@ -17,13 +17,18 @@
 //   kExactHeap  — min-heap keyed by exact t_j (Section 4.1.1, O(n log n));
 //   kBucketed   — O(1/delta) buckets keyed by t_j rounded down to
 //                 geom(d/2, d, 1+4rho) (Section 4.3.3, O(n/delta) total).
+// The special case consumes at most one candidate per transformation (there
+// is at most one leftover unpaired job), so both organizations reduce to a
+// running minimum that the code keeps instead of a heap or bucket table,
+// with the same answer: the earliest entry among equal exact times, or the
+// latest entry of the lowest bucket.
 // The bucketed policy underestimates times by a factor <= (1+4rho), so a
 // stacked pair may exceed (3/2)d by up to delta*d; the caller accounts for
 // this in its makespan guarantee ((3/2(1+delta)^2 + delta)d in the paper).
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "src/jobs/instance.hpp"
 #include "src/sched/schedule.hpp"
@@ -48,22 +53,23 @@ struct ProcGroup {
 };
 
 struct ThreeShelfSchedule {
-  Schedule big_jobs;             ///< placements for all big jobs
-  std::vector<ProcGroup> groups; ///< occupancy of all m processors
+  std::span<const ProcGroup> groups;  ///< occupancy of all m processors
   procs_t p0 = 0, p1 = 0, p2 = 0;
   double horizon = 0;            ///< (3/2) d
   double slack = 0;              ///< extra height used beyond horizon
                                  ///< (only the bucketed policy, <= delta*d)
 };
 
-/// Applies the rules exhaustively. `delta` parameterizes the bucketed
-/// policy's rounding (rho = (sqrt(1+delta)-1)/4 as in Lemma 16); ignored for
-/// kExactHeap. Throws internal_error if the fixpoint violates Lemma 8
+/// Applies the rules exhaustively, appending one placement per big job to
+/// `big_jobs`. `delta` parameterizes the bucketed policy's rounding
+/// (rho = (sqrt(1+delta)-1)/4 as in Lemma 16); ignored for kExactHeap.
+/// The groups live on the calling thread's scratch arena, in the caller's
+/// frame. Throws internal_error if the fixpoint violates Lemma 8
 /// (p0 + p1 > m or p0 + p2 > m), which cannot happen when the caller's work
 /// bound W <= m*d - W_S(d) holds.
 ThreeShelfSchedule apply_transformation_rules(const jobs::Instance& instance,
                                               const TwoShelfSchedule& two_shelf,
-                                              TransformPolicy policy,
-                                              double delta = 0.2);
+                                              TransformPolicy policy, double delta,
+                                              AssignmentList& big_jobs);
 
 }  // namespace moldable::sched

@@ -4,6 +4,10 @@
 
 namespace moldable::util {
 
+ScratchArena::~ScratchArena() {
+  for (Chunk& c : chunks_) MOLDABLE_ARENA_UNPOISON(c.data.get(), c.size);
+}
+
 void* ScratchArena::allocate_slow(std::size_t bytes, std::size_t align) {
   // Try the chunks after the active one (kept from an earlier high-water
   // mark), then grow. Growth doubles so a solve loop settles after a few
@@ -16,6 +20,7 @@ void* ScratchArena::allocate_slow(std::size_t bytes, std::size_t align) {
     const std::size_t base = (~addr + 1) & (align - 1);
     if (bytes <= c.size && base <= c.size - bytes) {
       c.used = base + bytes;
+      MOLDABLE_ARENA_UNPOISON(c.data.get() + base, bytes);
       return c.data.get() + base;
     }
   }
@@ -30,12 +35,22 @@ void* ScratchArena::allocate_slow(std::size_t bytes, std::size_t align) {
   const auto addr = reinterpret_cast<std::uintptr_t>(back.data.get());
   const std::size_t base = (~addr + 1) & (align - 1);
   back.used = base + bytes;
+  MOLDABLE_ARENA_POISON(back.data.get(), back.size);
+  MOLDABLE_ARENA_UNPOISON(back.data.get() + base, bytes);
   return back.data.get() + base;
 }
 
 void ScratchArena::rewind(Marker m) {
   if (chunks_.empty()) return;
-  active_ = std::min(m.chunk, chunks_.size() - 1);
+  const std::size_t target = std::min(m.chunk, chunks_.size() - 1);
+#ifdef MOLDABLE_ARENA_ASAN
+  for (std::size_t i = target; i <= active_ && i < chunks_.size(); ++i) {
+    const std::size_t from = i == target ? m.used : 0;
+    if (chunks_[i].used > from)
+      MOLDABLE_ARENA_POISON(chunks_[i].data.get() + from, chunks_[i].used - from);
+  }
+#endif
+  active_ = target;
   chunks_[active_].used = m.used;
   // Later chunks stay allocated; their `used` is reset when they become
   // active again (allocate_slow).

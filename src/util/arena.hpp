@@ -29,6 +29,10 @@
 // Thread-compatibility: a ScratchArena is single-threaded by design (one
 // per worker thread). The per-thread default keeps parallel batch workers
 // isolated without any locking.
+//
+// Under AddressSanitizer the arena poisons what a rewind releases and
+// unpoisons each block it hands out, so a read or write through a pointer
+// that outlived its frame fails like a use-after-free.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +40,26 @@
 #include <cstring>
 #include <memory>
 #include <type_traits>
+#include <span>
 #include <vector>
+
+#include "src/util/common.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define MOLDABLE_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MOLDABLE_ARENA_ASAN 1
+#endif
+#endif
+#ifdef MOLDABLE_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#define MOLDABLE_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define MOLDABLE_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define MOLDABLE_ARENA_POISON(p, n) ((void)(p), (void)(n))
+#define MOLDABLE_ARENA_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace moldable::util {
 
@@ -47,6 +70,7 @@ class ScratchArena {
   explicit ScratchArena(std::size_t initial_bytes = std::size_t{1} << 16)
       : next_chunk_bytes_(initial_bytes < 64 ? 64 : initial_bytes) {}
 
+  ~ScratchArena();
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
 
@@ -130,11 +154,47 @@ inline void* ScratchArena::allocate(std::size_t bytes, std::size_t align) {
     const std::size_t base = c.used + pad;
     if (bytes <= c.size && base <= c.size - bytes) {
       c.used = base + bytes;
+      MOLDABLE_ARENA_UNPOISON(c.data.get() + base, bytes);
       return c.data.get() + base;
     }
   }
   return allocate_slow(bytes, align);
 }
+
+/// A fixed-capacity list carved from a ScratchArena in one block: the
+/// capacity is reserved at construction and push_back never grows, so a
+/// list made in an outer frame may be filled from inside nested frames
+/// (growth there would land in memory the nested frame rewinds). Overflow
+/// throws internal_error: the caller's capacity bound was wrong. Nothing
+/// to destroy; the enclosing frame's rewind reclaims the block.
+template <typename T>
+class ScratchList {
+ public:
+  ScratchList() = default;
+  ScratchList(ScratchArena& arena, std::size_t capacity)
+      : data_(arena.alloc<T>(capacity)), cap_(capacity) {}
+
+  void push_back(const T& v) {
+    check_invariant(size_ < cap_, "ScratchList: capacity exceeded");
+    data_[size_++] = v;
+  }
+  void clear() { size_ = 0; }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+  T* begin() { return data_; }
+  T* end() { return data_ + size_; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  operator std::span<const T>() const { return {data_, size_}; }
+
+ private:
+  T* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
+};
 
 /// The arena installed by the innermost ArenaScope on the calling thread,
 /// or the thread's default arena when none is installed. Never null.

@@ -108,6 +108,34 @@ TEST(EstimatorDifferential, TablePlateausTieAtPivots) {
   EXPECT_EQ(checked, 16000u);
 }
 
+/// More than 32 jobs: while over 32 candidates stay active, the pivot
+/// comes from the weighted quickselect rather than the sort. Generator
+/// families alternate with plateau tables, whose levels tie across jobs.
+TEST(EstimatorDifferential, ManyJobsTakeTheSelectionPath) {
+  util::Prng rng(0x5E1EC7);
+  const auto families = jobs::all_families();
+  constexpr procs_t kMachines[] = {2, 3, 64, 4096};
+  std::size_t checked = 0;
+  for (int i = 0; i < 400; ++i) {
+    const procs_t m = kMachines[i % 4];
+    const auto n = static_cast<std::size_t>(rng.uniform_int(33, 200));
+    const std::string what = "i=" + std::to_string(i) + " n=" + std::to_string(n);
+    if (i % 2 == 0) {
+      const jobs::Family family = families[static_cast<std::size_t>(i / 2) % families.size()];
+      ASSERT_TRUE(same_bits(jobs::make_instance(family, n, m, rng.next_u64()), what));
+    } else {
+      std::vector<Job> jobs;
+      for (std::size_t j = 0; j < n; ++j)
+        jobs.emplace_back(std::make_shared<jobs::TableTime>(plateau_table(rng, m, 1.0),
+                                                            /*require_monotone_work=*/false),
+                          m);
+      ASSERT_TRUE(same_bits(Instance(std::move(jobs), m), "plateau " + what));
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 400u);
+}
+
 TEST(EstimatorDifferential, RigidLogAndScaledOracles) {
   util::Prng rng(0x51D);
   std::size_t checked = 0;

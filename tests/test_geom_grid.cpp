@@ -131,7 +131,7 @@ TEST(NormalizationGrid, StopsGrowingAtMaxPoints) {
     const NormalizationGrid capped(caps, 50.0, rho, 20, limit);
     EXPECT_EQ(capped.size() >= limit, full.size() >= limit);
     if (capped.size() < limit) {
-      EXPECT_EQ(capped.points(), full.points());
+      EXPECT_TRUE(std::ranges::equal(capped.points(), full.points()));
     } else {
       EXPECT_EQ(capped.size(), limit);
       EXPECT_TRUE(std::equal(capped.points().begin(), capped.points().end(),
@@ -141,10 +141,11 @@ TEST(NormalizationGrid, StopsGrowingAtMaxPoints) {
 }
 
 TEST(NormalizationGrid, ValidatesArguments) {
+  const std::vector<double> ten = {10.0};
   EXPECT_THROW(NormalizationGrid({}, 1.0, 0.1, 5), std::invalid_argument);
-  EXPECT_THROW(NormalizationGrid({10.0}, 0.0, 0.1, 5), std::invalid_argument);
-  EXPECT_THROW(NormalizationGrid({10.0}, 20.0, 0.1, 5), std::invalid_argument);
-  EXPECT_THROW(NormalizationGrid({10.0}, 1.0, 0.9, 5), std::invalid_argument);
+  EXPECT_THROW(NormalizationGrid(ten, 0.0, 0.1, 5), std::invalid_argument);
+  EXPECT_THROW(NormalizationGrid(ten, 20.0, 0.1, 5), std::invalid_argument);
+  EXPECT_THROW(NormalizationGrid(ten, 1.0, 0.9, 5), std::invalid_argument);
 }
 
 }  // namespace

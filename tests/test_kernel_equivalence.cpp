@@ -266,7 +266,8 @@ std::vector<Item> bounded_items(const jobs::Instance& inst, double d, double del
     if (job.t1() <= d / 2 || !leq_tol(job.tmin(), d / 2)) continue;  // small or forced
     rounded.push_back(round_big_job(inst, j, r));
   }
-  return BoundedInstance(rounded).items();
+  const BoundedInstance bk(rounded);
+  return {bk.items().begin(), bk.items().end()};
 }
 
 TEST(KernelEquivalence, BoundedInstanceGeometricSizes) {

@@ -77,7 +77,7 @@ TEST(AssembleSchedule, StatsAreConsistent) {
   const BigSmallSplit split = split_small_big(inst, d);
   // Everything into shelf 1 (gamma(d) always defined at 2*omega; total may
   // exceed m, in which case assemble rejects — try shrinking).
-  std::vector<std::size_t> s1 = split.big;
+  const std::vector<std::size_t> s1(split.big.begin(), split.big.end());
   AssemblyStats stats;
   const auto out =
       assemble_schedule(inst, d, s1, sched::TransformPolicy::kExactHeap, 0.2, &stats);

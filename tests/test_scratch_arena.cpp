@@ -138,5 +138,36 @@ TEST(ScratchArenaScope, ThreadDefaultsAreDistinct) {
   EXPECT_NE(worker_default, main_default);
 }
 
+TEST(ScratchList, FillsToCapacityInsideNestedFramesAndRefusesMore) {
+  ScratchArena arena;
+  ScratchArena::Frame outer(arena);
+  ScratchList<int> list(arena, 3);
+  {
+    // A nested frame's own allocations do not disturb the outer list.
+    ScratchArena::Frame inner(arena);
+    int* other = arena.alloc<int>(64);
+    for (int i = 0; i < 64; ++i) other[i] = -1;
+    for (int i = 0; i < 3; ++i) list.push_back(i);
+  }
+  ASSERT_EQ(list.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(list[static_cast<std::size_t>(i)], i);
+  EXPECT_THROW(list.push_back(3), internal_error);
+  list.clear();
+  EXPECT_TRUE(list.empty());
+}
+
+#ifdef MOLDABLE_ARENA_ASAN
+TEST(ScratchArena, RewoundMemoryIsPoisonedUnderAsan) {
+  ScratchArena arena;
+  volatile int* stale = nullptr;
+  {
+    ScratchArena::Frame frame(arena);
+    stale = arena.alloc<int>(16);
+    stale[3] = 1;
+  }
+  EXPECT_DEATH(stale[3] = 2, "use-after-poison");
+}
+#endif
+
 }  // namespace
 }  // namespace moldable::util

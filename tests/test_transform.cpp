@@ -21,8 +21,17 @@ Instance table_instance(std::vector<std::vector<double>> tables, procs_t m) {
   return Instance(std::move(jv), m);
 }
 
+// The transformation's result with its big-job placements and groups
+// copied off the scratch arena.
+struct Transformed {
+  Schedule big_jobs;
+  std::vector<ProcGroup> groups;
+  procs_t p0 = 0, p1 = 0, p2 = 0;
+  double slack = 0;
+};
+
 // Convenience: run the transformation on a hand-built two-shelf schedule.
-ThreeShelfSchedule run(const Instance& inst, const std::vector<std::size_t>& s1,
+Transformed run(const Instance& inst, const std::vector<std::size_t>& s1,
                        const std::vector<std::size_t>& s2, double d,
                        TransformPolicy policy = TransformPolicy::kExactHeap,
                        double delta = 0.2) {
@@ -36,11 +45,15 @@ ThreeShelfSchedule run(const Instance& inst, const std::vector<std::size_t>& s1,
     big.push_back(j);
     in_s1.push_back(0);
   }
+  util::ScratchArena arena;
+  const util::ArenaScope scope(&arena);
   const TwoShelfSchedule two = build_two_shelf(inst, big, in_s1, d);
-  return apply_transformation_rules(inst, two, policy, delta);
+  AssignmentList big_jobs(arena, big.size());
+  const ThreeShelfSchedule t = apply_transformation_rules(inst, two, policy, delta, big_jobs);
+  return {Schedule(big_jobs), {t.groups.begin(), t.groups.end()}, t.p0, t.p1, t.p2, t.slack};
 }
 
-procs_t group_total(const ThreeShelfSchedule& t) {
+procs_t group_total(const Transformed& t) {
   procs_t total = 0;
   for (const auto& g : t.groups) total += g.count;
   return total;
@@ -180,7 +193,7 @@ TEST(Transform, GroupsCoverAllMachinesAcrossRandomInstances) {
         s2.push_back(j);
       }
     }
-    ThreeShelfSchedule t;
+    Transformed t;
     try {
       t = run(inst, s1_ok, s2, d);
     } catch (const internal_error&) {
